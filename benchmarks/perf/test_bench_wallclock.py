@@ -2,10 +2,10 @@
 
 Reruns every quick-mode bench case and gates its calibration-normalized
 events/sec against the committed ``BENCH_<name>.json`` baseline: a drop
-of more than 25% on either backend fails.  Normalization (scores are
+of more than 25% fails.  Normalization (scores are
 events/sec divided by a pure-Python reference loop timed on the same
 machine, same run) makes the committed numbers portable across hosts --
-only *relative* engine slowdowns trip the gate, not a slower CI box.
+only *relative* simulator slowdowns trip the gate, not a slower CI box.
 
 Deliberately outside the tier-1 ``tests/`` tree (wall-clock tests do not
 belong in a correctness gate).  Run with::
@@ -27,8 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import CASES, calibrate, compare_snapshots, load_snapshot
-from repro.bench.runner import (DEFAULT_TOLERANCE, BenchError,
-                                BenchSnapshot, config_digest, run_case)
+from repro.bench.runner import DEFAULT_TOLERANCE, BenchError, run_case
 
 PERF_DIR = Path(__file__).resolve().parent
 
@@ -43,34 +42,13 @@ def test_quick_case_within_tolerance_of_baseline(name, calibration_eps):
     baseline = load_snapshot(name, PERF_DIR)
     if baseline is None:
         pytest.skip(f"no committed baseline BENCH_{name}.json")
-    case = CASES[name]
-    current = BenchSnapshot(name=name, quick=True,
-                            config_digest=config_digest(case, quick=True))
-    for backend in sorted(baseline.backends):
-        current.backends[backend] = run_case(
-            case, backend, quick=True, repeats=2,
-            calibration_eps=calibration_eps)
+    current = run_case(CASES[name], quick=True, repeats=2,
+                       calibration_eps=calibration_eps)
     try:
-        comparisons = compare_snapshots(current, baseline,
-                                        tolerance=DEFAULT_TOLERANCE)
+        comparison = compare_snapshots(current, baseline,
+                                       tolerance=DEFAULT_TOLERANCE)
     except BenchError as exc:
         pytest.skip(f"baseline is stale ({exc}); refresh with "
                     f"'repro bench --quick --write'")
-    assert comparisons, "baseline present but no comparable backends"
-    regressed = [c.summary() for c in comparisons if c.regressed]
-    assert not regressed, "\n".join(regressed)
+    assert not comparison.regressed, comparison.summary()
 
-
-def test_batched_backend_not_dramatically_slower_than_heap(
-        calibration_eps):
-    """The batched kernel must stay in the same performance class as the
-    reference heap engine end-to-end (it wins on dense-bucket event loops
-    and roughly ties on sparse chip workloads; a large end-to-end loss
-    would mean the backend stopped paying for itself)."""
-    case = CASES["fig5"]
-    heap = run_case(case, "heap", quick=True, repeats=2,
-                    calibration_eps=calibration_eps)
-    batched = run_case(case, "batched", quick=True, repeats=2,
-                       calibration_eps=calibration_eps)
-    assert batched.events == heap.events
-    assert batched.events_per_sec > 0.6 * heap.events_per_sec

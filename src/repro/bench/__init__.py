@@ -1,7 +1,7 @@
 """repro.bench -- wall-clock benchmark harness and perf trajectory.
 
 Times the paper's headline experiments (fig5, fig6/7) plus a 16x16-mesh
-stress case on a selected engine backend, and pins the numbers as
+stress case, and pins the numbers as
 ``benchmarks/perf/BENCH_<name>.json`` snapshots:
 
 * :mod:`repro.bench.cases` -- the benchmark case registry (what to run,
@@ -18,13 +18,12 @@ compares *normalized* scores, which cancels most host-speed variance.
 """
 
 from .cases import CASES, BenchCase, get_case
-from .runner import (DEFAULT_REPEATS, DEFAULT_TOLERANCE, BackendMeasurement,
-                     BenchComparison, BenchSnapshot, calibrate,
-                     compare_snapshots, load_snapshot, run_case,
-                     snapshot_path, write_snapshot)
+from .runner import (DEFAULT_REPEATS, DEFAULT_TOLERANCE, BenchComparison,
+                     BenchSnapshot, calibrate, compare_snapshots,
+                     load_snapshot, run_case, snapshot_path, write_snapshot)
 
 __all__ = ["CASES", "BenchCase", "get_case",
-           "BenchSnapshot", "BackendMeasurement", "BenchComparison",
+           "BenchSnapshot", "BenchComparison",
            "calibrate", "run_case", "compare_snapshots",
            "load_snapshot", "write_snapshot", "snapshot_path",
            "DEFAULT_REPEATS", "DEFAULT_TOLERANCE"]

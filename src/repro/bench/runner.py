@@ -1,7 +1,7 @@
 """Calibration-normalized timing, snapshot I/O, and the regression gate.
 
-A snapshot (``BENCH_<name>.json``) records, per backend: the wall-clock
-of each repeat, the median, total simulation events, events/sec, and the
+A snapshot (``BENCH_<name>.json``) records the wall-clock of each
+repeat, the median, total simulation events, events/sec, and the
 events/sec of a fixed pure-Python calibration loop measured in the same
 process.  The **normalized score** (case events/sec divided by
 calibration events/sec) is what the tolerance gate compares -- both
@@ -22,7 +22,7 @@ import hashlib
 import json
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
@@ -48,7 +48,7 @@ class BenchError(ReproError):
 def calibrate(repeats: int = 3) -> float:
     """Events/sec of a fixed pure-Python engine loop on this host.
 
-    Uses the *heap* reference engine driving a trivial self-rescheduling
+    Uses the simulator's engine driving a trivial self-rescheduling
     callback -- the same interpreter work (tuple churn, heap ops, method
     dispatch) that dominates simulation wall-clock, making the ratio
     sim-events-per-sec / calibration-events-per-sec largely
@@ -77,10 +77,12 @@ def calibrate(repeats: int = 3) -> float:
 
 # ---------------------------------------------------------------------- #
 @dataclass
-class BackendMeasurement:
-    """One backend's timing of one case."""
+class BenchSnapshot:
+    """The BENCH_<name>.json payload: one case's timing."""
 
-    backend: str
+    name: str
+    quick: bool
+    config_digest: str
     repeats: int
     wall_s: list[float]              # one entry per repeat
     median_wall_s: float
@@ -90,7 +92,9 @@ class BackendMeasurement:
     normalized_score: float          # events_per_sec / calibration_eps
 
     def to_dict(self) -> dict[str, Any]:
-        return {"backend": self.backend, "repeats": self.repeats,
+        return {"name": self.name, "quick": self.quick,
+                "config_digest": self.config_digest,
+                "repeats": self.repeats,
                 "wall_s": [round(w, 6) for w in self.wall_s],
                 "median_wall_s": round(self.median_wall_s, 6),
                 "events": self.events,
@@ -99,37 +103,15 @@ class BackendMeasurement:
                 "normalized_score": round(self.normalized_score, 6)}
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "BackendMeasurement":
-        return cls(backend=data["backend"], repeats=data["repeats"],
-                   wall_s=list(data["wall_s"]),
+    def from_dict(cls, data: dict[str, Any]) -> "BenchSnapshot":
+        return cls(name=data["name"], quick=data["quick"],
+                   config_digest=data["config_digest"],
+                   repeats=data["repeats"], wall_s=list(data["wall_s"]),
                    median_wall_s=data["median_wall_s"],
                    events=data["events"],
                    events_per_sec=data["events_per_sec"],
                    calibration_eps=data["calibration_eps"],
                    normalized_score=data["normalized_score"])
-
-
-@dataclass
-class BenchSnapshot:
-    """The BENCH_<name>.json payload: one case, any number of backends."""
-
-    name: str
-    quick: bool
-    config_digest: str
-    backends: dict[str, BackendMeasurement] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "quick": self.quick,
-                "config_digest": self.config_digest,
-                "backends": {k: m.to_dict()
-                             for k, m in sorted(self.backends.items())}}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "BenchSnapshot":
-        return cls(name=data["name"], quick=data["quick"],
-                   config_digest=data["config_digest"],
-                   backends={k: BackendMeasurement.from_dict(m)
-                             for k, m in data["backends"].items()})
 
 
 def config_digest(case: BenchCase, quick: bool) -> str:
@@ -149,10 +131,10 @@ def config_digest(case: BenchCase, quick: bool) -> str:
     return digest[:16]
 
 
-def run_case(case: BenchCase, backend: str, quick: bool = False,
+def run_case(case: BenchCase, quick: bool = False,
              repeats: int = DEFAULT_REPEATS,
-             calibration_eps: float | None = None) -> BackendMeasurement:
-    """Time *case* on *backend*: median of *repeats* fresh executions.
+             calibration_eps: float | None = None) -> BenchSnapshot:
+    """Time *case*: median of *repeats* fresh executions.
 
     Each repeat builds fresh chips (``RunSpec.execute``, no cache, this
     process) so cold-build cost is included consistently.  The event
@@ -162,8 +144,7 @@ def run_case(case: BenchCase, backend: str, quick: bool = False,
     """
     if repeats < 1:
         raise BenchError(f"repeats must be >= 1, got {repeats}")
-    specs = [replace(s, config=s.config.with_(sim_backend=backend))
-             for s in case.build(quick)]
+    specs = case.build(quick)
     if calibration_eps is None:
         calibration_eps = calibrate()
     walls: list[float] = []
@@ -179,15 +160,17 @@ def run_case(case: BenchCase, backend: str, quick: bool = False,
             events = total
         elif total != events:
             raise BenchError(
-                f"{case.name}/{backend}: event count varied across "
-                f"repeats ({events} vs {total}) -- determinism broken")
+                f"{case.name}: event count varied across repeats "
+                f"({events} vs {total}) -- determinism broken")
     median = statistics.median(walls)
     eps = events / median
-    return BackendMeasurement(backend=backend, repeats=repeats,
-                              wall_s=walls, median_wall_s=median,
-                              events=events, events_per_sec=eps,
-                              calibration_eps=calibration_eps,
-                              normalized_score=eps / calibration_eps)
+    return BenchSnapshot(name=case.name, quick=quick,
+                         config_digest=config_digest(case, quick),
+                         repeats=repeats, wall_s=walls,
+                         median_wall_s=median, events=events,
+                         events_per_sec=eps,
+                         calibration_eps=calibration_eps,
+                         normalized_score=eps / calibration_eps)
 
 
 # ---------------------------------------------------------------------- #
@@ -220,10 +203,9 @@ def load_snapshot(name: str,
 
 @dataclass
 class BenchComparison:
-    """Current-vs-baseline verdict for one (case, backend)."""
+    """Current-vs-baseline verdict for one case."""
 
     name: str
-    backend: str
     baseline_score: float
     current_score: float
     ratio: float                      # current / baseline
@@ -233,7 +215,7 @@ class BenchComparison:
 
     def summary(self) -> str:
         verdict = "REGRESSED" if self.regressed else "ok"
-        text = (f"{self.name}/{self.backend}: {self.ratio:.2f}x baseline "
+        text = (f"{self.name}: {self.ratio:.2f}x baseline "
                 f"normalized score ({verdict}, tolerance "
                 f"-{self.tolerance:.0%})")
         if self.note:
@@ -244,15 +226,15 @@ class BenchComparison:
 def compare_snapshots(current: BenchSnapshot,
                       baseline: Optional[BenchSnapshot],
                       tolerance: float = DEFAULT_TOLERANCE
-                      ) -> list[BenchComparison]:
-    """Gate *current* against *baseline*; empty list when no baseline.
+                      ) -> Optional[BenchComparison]:
+    """Gate *current* against *baseline*; None when there is no baseline.
 
     Raises :class:`BenchError` when the snapshots measured different work
     (config digests or quick flags differ) -- refreshing the baseline is
     the fix, not loosening the gate.
     """
     if baseline is None:
-        return []
+        return None
     if (baseline.config_digest != current.config_digest
             or baseline.quick != current.quick):
         raise BenchError(
@@ -260,23 +242,16 @@ def compare_snapshots(current: BenchSnapshot,
             f"(digest {baseline.config_digest}/quick={baseline.quick} vs "
             f"{current.config_digest}/quick={current.quick}); refresh it "
             f"with: repro bench --write")
-    out: list[BenchComparison] = []
-    for backend, meas in sorted(current.backends.items()):
-        base = baseline.backends.get(backend)
-        if base is None:
-            continue
-        note = ""
-        if base.events != meas.events:
-            # Digest-identical work must execute identical event counts;
-            # this is a determinism alarm, flagged loudly but judged by
-            # the score gate (the digest check above already passed).
-            note = (f"event count changed: {base.events} -> "
-                    f"{meas.events}")
-        ratio = meas.normalized_score / base.normalized_score
-        out.append(BenchComparison(
-            name=current.name, backend=backend,
-            baseline_score=base.normalized_score,
-            current_score=meas.normalized_score,
-            ratio=ratio, tolerance=tolerance,
-            regressed=ratio < (1.0 - tolerance), note=note))
-    return out
+    note = ""
+    if baseline.events != current.events:
+        # Digest-identical work must execute identical event counts;
+        # this is a determinism alarm, flagged loudly but judged by the
+        # score gate (the digest check above already passed).
+        note = (f"event count changed: {baseline.events} -> "
+                f"{current.events}")
+    ratio = current.normalized_score / baseline.normalized_score
+    return BenchComparison(
+        name=current.name, baseline_score=baseline.normalized_score,
+        current_score=current.normalized_score, ratio=ratio,
+        tolerance=tolerance, regressed=ratio < (1.0 - tolerance),
+        note=note)

@@ -32,7 +32,7 @@ from ..mem.l1 import L1Cache
 from ..mem.memory import MemoryController
 from ..noc.network import Network
 from ..obs import Observability
-from ..sim import make_engine
+from ..sim import Engine
 from ..sync.accounting import BarrierAccounting
 from ..sync.api import BarrierImpl
 from ..sync.csw import CentralizedBarrier
@@ -58,7 +58,7 @@ class CMP:
         #: CMPConfig: a traced run and an untraced run share the same
         #: exec-cache key and must produce identical results.
         self.obs = None
-        self.engine = make_engine(self.config.sim_backend)
+        self.engine = Engine()
         self.stats = StatsRegistry(self.config.num_cores)
         self.funcmem = FunctionalMemory()
         self.amap = AddressMap(self.config.num_cores, self.config.line_bytes)

@@ -269,9 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cases to run (default: all; see repro.bench)")
     pbe.add_argument("--quick", action="store_true",
                      help="smoke-scale variants (what CI runs)")
-    pbe.add_argument("--backend", default="both",
-                     choices=["heap", "batched", "both"],
-                     help="engine backend(s) to time (default: both)")
     pbe.add_argument("--repeats", type=int, default=None, metavar="N",
                      help="repeats per case, median reported "
                           "(default: 3, or 2 with --quick)")
@@ -576,9 +573,9 @@ def _run_bench(args) -> int:
     2 usage errors (unknown case, incomparable baseline).
     """
     from .bench import (CASES, DEFAULT_REPEATS, DEFAULT_TOLERANCE,
-                        BenchSnapshot, calibrate, compare_snapshots,
-                        get_case, load_snapshot, run_case, write_snapshot)
-    from .bench.runner import BenchError, config_digest
+                        calibrate, compare_snapshots, get_case,
+                        load_snapshot, run_case, write_snapshot)
+    from .bench.runner import BenchError
 
     names = args.names or sorted(CASES)
     try:
@@ -586,8 +583,6 @@ def _run_bench(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    backends = ["heap", "batched"] if args.backend == "both" \
-        else [args.backend]
     repeats = args.repeats if args.repeats is not None \
         else (2 if args.quick else DEFAULT_REPEATS)
     tolerance = args.tolerance if args.tolerance is not None \
@@ -599,19 +594,13 @@ def _run_bench(args) -> int:
 
     regressed = False
     for case in cases:
-        snapshot = BenchSnapshot(name=case.name, quick=args.quick,
-                                 config_digest=config_digest(
-                                     case, args.quick))
-        for backend in backends:
-            meas = run_case(case, backend, quick=args.quick,
-                            repeats=repeats,
+        snapshot = run_case(case, quick=args.quick, repeats=repeats,
                             calibration_eps=calibration_eps)
-            snapshot.backends[backend] = meas
-            print(f"{case.name:<12} {backend:<8} "
-                  f"median {meas.median_wall_s * 1000:8.1f} ms   "
-                  f"{meas.events_per_sec:12,.0f} ev/s   "
-                  f"norm {meas.normalized_score:.3f}   "
-                  f"({meas.events:,} events x{meas.repeats})")
+        print(f"{case.name:<16} "
+              f"median {snapshot.median_wall_s * 1000:8.1f} ms   "
+              f"{snapshot.events_per_sec:12,.0f} ev/s   "
+              f"norm {snapshot.normalized_score:.3f}   "
+              f"({snapshot.events:,} events x{snapshot.repeats})")
         # --write refreshes the committed baselines; --out drops fresh
         # snapshots elsewhere (CI artifacts).  A plain run writes nothing.
         if args.write:
@@ -629,14 +618,13 @@ def _run_bench(args) -> int:
                       file=sys.stderr)
                 continue
             try:
-                comparisons = compare_snapshots(snapshot, baseline,
-                                                tolerance=tolerance)
+                comp = compare_snapshots(snapshot, baseline,
+                                         tolerance=tolerance)
             except BenchError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            for comp in comparisons:
-                print("[repro.bench] " + comp.summary())
-                regressed = regressed or comp.regressed
+            print("[repro.bench] " + comp.summary())
+            regressed = regressed or comp.regressed
     if regressed and args.check:
         print("[repro.bench] regression beyond tolerance (see above)",
               file=sys.stderr)

@@ -22,7 +22,6 @@ not hours into a simulation run.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
@@ -320,18 +319,8 @@ class CMPConfig:
         default_factory=_default_collectives)
     #: Fault-injection schedule (repro.faults); all-zero = disabled.
     faults: FaultPlan = field(default_factory=FaultPlan)
-    #: Event-engine backend: "heap" (reference) or "batched" (the
-    #: bucket-calendar kernel, bit-identical results).  The default reads
-    #: ``REPRO_SIM_BACKEND`` so the CLI / CI can flip every run without
-    #: touching call sites; it does NOT key the exec cache (see
-    #: RunSpec.fingerprint) precisely because results are identical.
-    sim_backend: str = field(default_factory=lambda: os.environ.get(
-        "REPRO_SIM_BACKEND", "heap"))
 
     def __post_init__(self) -> None:
-        _require(self.sim_backend in ("heap", "batched"),
-                 f"sim_backend must be 'heap' or 'batched', "
-                 f"got {self.sim_backend!r}")
         _require(self.num_cores >= 1, "num_cores must be >= 1")
         _require(self.memory_latency >= 1, "memory_latency must be >= 1")
         _require(self.l1.line_bytes == self.line_bytes,
@@ -366,7 +355,6 @@ class CMPConfig:
             "gline": self.gline.to_dict(),
             "collectives": self.collectives.to_dict(),
             "faults": self.faults.to_dict(),
-            "sim_backend": self.sim_backend,
         }
 
     @classmethod
@@ -375,7 +363,6 @@ class CMPConfig:
         faults = data.get("faults")
         coll = data.get("collectives")
         return cls(num_cores=data["num_cores"],
-                   sim_backend=data.get("sim_backend", "heap"),
                    core=CoreConfig.from_dict(data["core"]),
                    line_bytes=data["line_bytes"],
                    l1=CacheConfig.from_dict(data["l1"]),

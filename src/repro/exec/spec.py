@@ -101,13 +101,8 @@ class RunSpec:
     # ------------------------------------------------------------------ #
     def fingerprint(self) -> dict:
         """The full cache-key input as a plain dict (for inspection)."""
-        config = self.config.to_dict()
-        # The engine backend is result-invariant (the batched kernel is
-        # bit-identical to the heap reference -- the dual-run oracle's
-        # contract), so both backends share cache entries.
-        config.pop("sim_backend", None)
         return {
-            "config": config,
+            "config": self.config.to_dict(),
             "workload": workload_fingerprint(self.workload),
             "barrier": self.barrier,
             "seed": self.seed,

@@ -1,41 +1,9 @@
 """Discrete-event simulation kernel."""
 
-from __future__ import annotations
-
-from typing import Union
-
 from .component import Component
 from .engine import Engine
-from .fastcore import FastEngine
 from .trace import (DEFAULT_CAPACITY, NULL_TRACER, ListTracer, RingTracer,
                     TraceEvent, Tracer)
 
-AnyEngine = Union[Engine, FastEngine]
-
-#: Selectable event-engine backends (``CMPConfig.sim_backend``).  "heap"
-#: is the reference implementation; "batched" is the bucket-calendar
-#: kernel in :mod:`repro.sim.fastcore`, observably identical by the
-#: differential-oracle contract.
-BACKENDS: dict[str, type] = {"heap": Engine, "batched": FastEngine}
-
-
-def make_engine(backend: str = "heap") -> AnyEngine:
-    """Instantiate the engine backend named *backend*.
-
-    Raises :class:`~repro.common.errors.SimulationError` for unknown
-    names so a typo'd config fails at chip construction, not mid-run.
-    """
-    try:
-        cls = BACKENDS[backend]
-    except KeyError:
-        from ..common.errors import SimulationError
-        raise SimulationError(
-            f"unknown sim backend {backend!r}; "
-            f"choose from {sorted(BACKENDS)}") from None
-    engine: AnyEngine = cls()
-    return engine
-
-
-__all__ = ["Component", "Engine", "FastEngine", "AnyEngine", "BACKENDS",
-           "make_engine", "NULL_TRACER", "ListTracer", "RingTracer",
+__all__ = ["Component", "Engine", "NULL_TRACER", "ListTracer", "RingTracer",
            "TraceEvent", "Tracer", "DEFAULT_CAPACITY"]

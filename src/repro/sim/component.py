@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .engine import Callback, Engine
 from ..common.stats import StatsRegistry
 from ..obs.tracer import NULL_TRACER
-
-if TYPE_CHECKING:
-    from .fastcore import FastEngine
 
 
 class Component:
@@ -25,8 +22,7 @@ class Component:
     ``metrics is not None`` so disabled runs pay one attribute read.
     """
 
-    def __init__(self, engine: "Engine | FastEngine", stats: StatsRegistry,
-                 name: str):
+    def __init__(self, engine: Engine, stats: StatsRegistry, name: str):
         self.engine = engine
         self.stats = stats
         self.name = name

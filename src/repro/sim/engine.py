@@ -9,11 +9,11 @@ The engine is deliberately minimal -- per the profiling-first guidance, the
 hot path is ``schedule`` + ``run``'s pop loop, so both avoid any allocation
 beyond the event tuple itself.
 
-This heap engine is the repo's *reference* backend: the batched kernel in
-:mod:`repro.sim.fastcore` must reproduce its execution order event for
-event (the differential-oracle contract pinned by
-``tests/sim/test_fastcore_diff.py``).  Changes to ordering semantics here
-must be mirrored there.
+Every result the repo reports depends on this execution order, so it
+is pinned: ``tests/sim/test_order_digest.py`` hashes the ``order_log`` of
+each quick bench case against committed digests.  A change to ordering
+semantics here fails that test and must be re-pinned as a recorded
+model decision.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ class Engine:
         self.tracer: Tracer = NULL_TRACER
         #: Optional execution-order probe: when set to a list, every
         #: executed event appends ``(time, priority, seq, qualname)``.
-        #: Used by the dual-run differential oracle to assert that two
-        #: backends execute the exact same event sequence; ``None`` (the
-        #: default) costs one attribute read per run() call.
+        #: The event-order goldens hash it; ``None`` (the default) costs
+        #: one attribute read per run() call.
         self.order_log: Optional[list[tuple[int, int, int, str]]] = None
 
     # ------------------------------------------------------------------ #

@@ -73,24 +73,23 @@ def test_integrity_echo_case_pairs_off_against_echo():
 # ---------------------------------------------------------------------- #
 # Timing
 # ---------------------------------------------------------------------- #
-def test_run_case_measures_both_backends_identically():
+def test_run_case_measures_events_and_normalized_score():
     calib = 1_000_000.0          # fixed: no real calibration in tests
-    heap = run_case(TINY, "heap", quick=True, repeats=2,
-                    calibration_eps=calib)
-    batched = run_case(TINY, "batched", quick=True, repeats=2,
-                       calibration_eps=calib)
-    assert heap.events == batched.events > 0
-    assert heap.repeats == len(heap.wall_s) == 2
-    assert heap.median_wall_s > 0
-    assert heap.events_per_sec == pytest.approx(
-        heap.events / heap.median_wall_s)
-    assert heap.normalized_score == pytest.approx(
-        heap.events_per_sec / calib)
+    snap = run_case(TINY, quick=True, repeats=2, calibration_eps=calib)
+    assert snap.name == "tiny" and snap.quick
+    assert snap.config_digest == config_digest(TINY, True)
+    assert snap.events > 0
+    assert snap.repeats == len(snap.wall_s) == 2
+    assert snap.median_wall_s > 0
+    assert snap.events_per_sec == pytest.approx(
+        snap.events / snap.median_wall_s)
+    assert snap.normalized_score == pytest.approx(
+        snap.events_per_sec / calib)
 
 
 def test_run_case_rejects_bad_repeats():
     with pytest.raises(BenchError):
-        run_case(TINY, "heap", repeats=0)
+        run_case(TINY, repeats=0)
 
 
 def test_calibrate_returns_plausible_rate():
@@ -101,18 +100,12 @@ def test_calibrate_returns_plausible_rate():
 # ---------------------------------------------------------------------- #
 # Snapshot I/O
 # ---------------------------------------------------------------------- #
-def _snapshot(score=1.0, events=1000, digest="d" * 16, quick=True,
-              backends=("heap", "batched")):
-    from repro.bench.runner import BackendMeasurement
-
-    snap = BenchSnapshot(name="tiny", quick=quick, config_digest=digest)
-    for backend in backends:
-        snap.backends[backend] = BackendMeasurement(
-            backend=backend, repeats=2, wall_s=[0.1, 0.1],
-            median_wall_s=0.1, events=events,
-            events_per_sec=events / 0.1, calibration_eps=events / 0.1,
-            normalized_score=score)
-    return snap
+def _snapshot(score=1.0, events=1000, digest="d" * 16, quick=True):
+    return BenchSnapshot(
+        name="tiny", quick=quick, config_digest=digest, repeats=2,
+        wall_s=[0.1, 0.1], median_wall_s=0.1, events=events,
+        events_per_sec=events / 0.1, calibration_eps=events / 0.1,
+        normalized_score=score)
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -138,27 +131,27 @@ def test_load_snapshot_absent_or_corrupt_returns_none(tmp_path):
 # The regression gate
 # ---------------------------------------------------------------------- #
 def test_compare_ok_within_tolerance():
-    comps = compare_snapshots(_snapshot(score=0.9), _snapshot(score=1.0),
-                              tolerance=0.25)
-    assert [c.backend for c in comps] == ["batched", "heap"]
-    assert all(not c.regressed for c in comps)
-    assert comps[0].ratio == pytest.approx(0.9)
+    comp = compare_snapshots(_snapshot(score=0.9), _snapshot(score=1.0),
+                             tolerance=0.25)
+    assert comp.name == "tiny"
+    assert not comp.regressed
+    assert comp.ratio == pytest.approx(0.9)
 
 
 def test_compare_flags_regression_beyond_tolerance():
-    comps = compare_snapshots(_snapshot(score=0.5), _snapshot(score=1.0),
-                              tolerance=0.25)
-    assert all(c.regressed for c in comps)
-    assert "REGRESSED" in comps[0].summary()
+    comp = compare_snapshots(_snapshot(score=0.5), _snapshot(score=1.0),
+                             tolerance=0.25)
+    assert comp.regressed
+    assert "REGRESSED" in comp.summary()
 
 
 def test_compare_improvement_never_regresses():
-    comps = compare_snapshots(_snapshot(score=5.0), _snapshot(score=1.0))
-    assert all(not c.regressed for c in comps)
+    comp = compare_snapshots(_snapshot(score=5.0), _snapshot(score=1.0))
+    assert not comp.regressed
 
 
 def test_compare_without_baseline_is_empty():
-    assert compare_snapshots(_snapshot(), None) == []
+    assert compare_snapshots(_snapshot(), None) is None
 
 
 def test_compare_refuses_different_work():
@@ -170,15 +163,8 @@ def test_compare_refuses_different_work():
 
 
 def test_compare_notes_event_count_drift():
-    comps = compare_snapshots(_snapshot(events=999), _snapshot(events=1000))
-    assert all("event count changed" in c.note for c in comps)
-
-
-def test_compare_skips_backends_missing_from_baseline():
-    current = _snapshot()
-    baseline = _snapshot(backends=("heap",))
-    comps = compare_snapshots(current, baseline)
-    assert [c.backend for c in comps] == ["heap"]
+    comp = compare_snapshots(_snapshot(events=999), _snapshot(events=1000))
+    assert "event count changed" in comp.note
 
 
 # ---------------------------------------------------------------------- #
@@ -203,8 +189,7 @@ def test_cli_bench_runs_writes_and_gates(tmp_path, monkeypatch, capsys):
     # absurdly high -> must fail.
     def scale_baseline(factor):
         data = json.loads((tmp_path / "BENCH_tiny.json").read_text())
-        for meas in data["backends"].values():
-            meas["normalized_score"] *= factor
+        data["normalized_score"] *= factor
         (tmp_path / "BENCH_tiny.json").write_text(json.dumps(data))
 
     scale_baseline(1e-6)

@@ -384,12 +384,12 @@ def test_timemux_context_exposes_integrity_counters():
 
 
 # ---------------------------------------------------------------------- #
-# Full-chip: seeded miscount plans through the ISA and both backends
+# Full-chip: seeded miscount plans through the ISA
 # ---------------------------------------------------------------------- #
 CHIP_KINDS = ("sum", "min", "max", "vote", "bcast") * 3
 
 
-def _chip_run(integrity, seed=11, backend="heap", rate=0.02):
+def _chip_run(integrity, seed=11, rate=0.02):
     from repro.chip.cmp import CMP
     from repro.common.params import CMPConfig
     from repro.cpu import isa
@@ -398,8 +398,7 @@ def _chip_run(integrity, seed=11, backend="heap", rate=0.02):
     cc = CollectiveConfig(enabled=True, value_width=8, integrity=integrity,
                           watchdog_budget=600, watchdog_retries=2)
     plan = FaultPlan(seed=seed, scsma_miscount_rate=rate)
-    cfg = CMPConfig.for_cores(16, collectives=cc).with_(
-        sim_backend=backend, faults=plan)
+    cfg = CMPConfig.for_cores(16, collectives=cc).with_(faults=plan)
     chip = CMP(cfg, barrier="gl")
     results = {}
 
@@ -439,16 +438,6 @@ def test_chip_verified_modes_zero_undetected_wrong_values(mode):
     assert not wrong, wrong
     assert counters["faults.integrity.detections"] > 0
 
-
-def test_chip_backends_bit_identical_under_integrity():
-    run_h, res_h, wrong_h, c_h = _chip_run("echo", backend="heap")
-    run_b, res_b, wrong_b, c_b = _chip_run("echo", backend="batched")
-    assert res_h == res_b
-    assert run_h.total_cycles == run_b.total_cycles
-    keys = [k for k in set(c_h) | set(c_b)
-            if k.startswith(("faults.integrity", "faults.gline"))]
-    assert {k: c_h.get(k, 0) for k in keys} \
-        == {k: c_b.get(k, 0) for k in keys}
 
 
 # ---------------------------------------------------------------------- #

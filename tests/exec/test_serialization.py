@@ -118,6 +118,14 @@ def test_cmp_config_round_trip_is_fixed_point(cfg):
     assert CMPConfig.from_dict(json.loads(json.dumps(d1))) == cfg
 
 
+def test_cmp_config_from_dict_loads_retired_engine_backend_key():
+    # Journals and cache entries written while the config still carried
+    # an engine-backend field must keep loading.
+    cfg = CMPConfig.for_cores(16)
+    legacy = {**cfg.to_dict(), "sim_backend": "batched"}
+    assert CMPConfig.from_dict(legacy) == cfg
+
+
 @pytest.mark.parametrize("sub_cls,kwargs", [
     (CacheConfig, dict(size_bytes=8192, assoc=2, latency=3,
                        extra_latency=1)),

@@ -1,30 +1,20 @@
-"""Engine edge cases backfilled while building the dual-run oracle.
+"""Engine edge cases: scheduling at ``now``, cancellation, run limits,
+reentrancy, tracer swaps and the ``order_log`` probe.
 
-Every test is parametrized over both backends: the semantics pinned here
-are the contract `repro.sim.fastcore` must honour, so a behavioural
-drift in either engine fails the same test.
+These pin the execution-order semantics every simulated cycle count
+rests on, one behaviour per test.
 """
 
 import pytest
 
 from repro.common.errors import SimulationError
 from repro.obs.tracer import NULL_TRACER, RingTracer
-from repro.sim import BACKENDS, Engine, FastEngine, make_engine
+from repro.sim import Engine
 
 
-@pytest.fixture(params=sorted(BACKENDS))
-def eng(request):
-    return make_engine(request.param)
-
-
-# ---------------------------------------------------------------------- #
-# make_engine / backend registry
-# ---------------------------------------------------------------------- #
-def test_make_engine_backends():
-    assert isinstance(make_engine("heap"), Engine)
-    assert isinstance(make_engine("batched"), FastEngine)
-    with pytest.raises(SimulationError):
-        make_engine("vectorized")
+@pytest.fixture
+def eng():
+    return Engine()
 
 
 # ---------------------------------------------------------------------- #
