@@ -61,6 +61,11 @@ M_BC_START = 4    # broadcast start bit pending
 M_BC_DATA = 5     # driving broadcast data bits
 M_BC_DONE = 6     # broadcast finished
 
+#: States in which a controller changes state on the next tick by
+#: itself; in every other state it only reacts to its wires.
+S_ACTING = frozenset((S_SIGNAL, S_ROUNDS, S_BC_DATA))
+M_ACTING = frozenset((M_START, M_ROUNDS, M_BC_START, M_BC_DATA))
+
 #: Planted-bug registry for the verify layer (name -> description).
 MUTATIONS = {
     "master-skip-own": "counting master omits its own contribution",
@@ -276,10 +281,6 @@ class StageSlave:
                     self.state = S_WAIT_BC
 
     # ------------------------------------------------------------------ #
-    def will_act(self) -> bool:
-        """True if this controller changes state next tick unprompted."""
-        return self.state in (S_SIGNAL, S_ROUNDS, S_BC_DATA)
-
     @property
     def idle(self) -> bool:
         return self.state == S_IDLE
@@ -689,9 +690,6 @@ class StageMaster:
                 self._finish(self.acc)
 
     # ------------------------------------------------------------------ #
-    def will_act(self) -> bool:
-        return self.state in (M_START, M_ROUNDS, M_BC_START, M_BC_DATA)
-
     @property
     def idle(self) -> bool:
         return self.state == M_GATHER and not self.own_set \

@@ -18,6 +18,15 @@ model, unit tests) call :meth:`tick` whenever one network cycle elapses.
 One tick = assert phase, fault-perturbation hook, release-line guard,
 sample phase, then orchestration (pure state hand-offs between stages).
 
+A *stage* is one wire pair with its master and slaves -- a mesh row, or
+the column.  Like a gated G-line, a tick clocks only the **active**
+stages: those with a controller that acts on its own next tick, or with
+a forced wire (stuck, glitched or miscounted -- a fault reaches the
+controllers whether or not anyone drove the wire).  Every other stage
+is provably a no-op that tick: nobody drives its wires, and its waiting
+controllers see silence.  Orchestration likewise looks only at the
+stages that changed.
+
 ``hold_result=True`` turns the fabric into a *cluster* for the
 hierarchical variant: instead of broadcasting, the global value is
 parked and reported through ``on_reduced``; the upper level later calls
@@ -35,8 +44,49 @@ from ..gline.gline import GLine
 from ..gline.integrity import INTEGRITY_MODES
 from . import ops
 from .controllers import (
-    M_BC_DONE, M_DONE, S_DONE, MUTATIONS, StageMaster, StageSlave,
+    M_ACTING, M_BC_DONE, M_DONE, S_ACTING, S_DONE, MUTATIONS, StageMaster,
+    StageSlave,
 )
+
+#: Hand-off states: a stage whose controller sits in one of these holds
+#: a result for the fabric to pass on (or waits for one).
+_M_BUSY = M_ACTING | {M_DONE, M_BC_DONE}
+_S_BUSY = S_ACTING | {S_DONE}
+
+
+class _Stage:
+    """One wire pair (``tx`` up, ``rel`` down) with the master and
+    slaves that share it: a mesh row, or the first column."""
+
+    __slots__ = ("master", "slaves", "tids", "lines", "int_seen")
+
+    def __init__(self, master: StageMaster, slaves: list[StageSlave],
+                 tids: list[str], lines: tuple[GLine, ...]) -> None:
+        self.master = master
+        self.slaves = slaves
+        self.tids = tids
+        self.lines = lines
+        #: The master's (faults, retries, corrected) integrity counters
+        #: at the previous collect_integrity().
+        self.int_seen = (0, 0, 0)
+
+    def acting(self) -> bool:
+        """Does a controller change state next tick by itself?"""
+        if self.master.state in M_ACTING:
+            return True
+        for s in self.slaves:
+            if s.state in S_ACTING:
+                return True
+        return False
+
+    def busy(self) -> bool:
+        """Acting, or holding a result for the fabric's hand-offs."""
+        if self.master.state in _M_BUSY:
+            return True
+        for s in self.slaves:
+            if s.state in _S_BUSY:
+                return True
+        return False
 
 
 class CollectiveFabric:
@@ -88,7 +138,8 @@ class CollectiveFabric:
 
         self.rmasters: list[StageMaster] = []
         self.rslaves: list[list[StageSlave]] = []
-        self._slave_tids: list[list[str]] = []
+        #: Rows 0..rows-1, then the column (index ``rows``) if rows > 1.
+        self._stages: list[_Stage] = []
         for r in range(rows):
             if cols > 1:
                 tx: GLine | None = _line(f"txH{r}")
@@ -98,8 +149,7 @@ class CollectiveFabric:
             mut = m_master if r == 0 else None
             if r == 0 and m_bcast is not None and cols > 1:
                 mut = m_bcast
-            self.rmasters.append(
-                StageMaster(tx, rel, f"{name}.m{r}", mutation=mut))
+            master = StageMaster(tx, rel, f"{name}.m{r}", mutation=mut)
             row_s: list[StageSlave] = []
             row_t: list[str] = []
             for c in range(1, cols):
@@ -108,24 +158,32 @@ class CollectiveFabric:
                 assert tx is not None and rel is not None
                 row_s.append(StageSlave(tx, rel, tid, mutation=smut))
                 row_t.append(tid)
+            self.rmasters.append(master)
             self.rslaves.append(row_s)
-            self._slave_tids.append(row_t)
+            self._stages.append(_Stage(
+                master, row_s, row_t,
+                (tx, rel) if tx is not None and rel is not None else ()))
 
         self.colmaster: StageMaster | None = None
         self.colslaves: list[StageSlave] = []
-        self._col_tids: list[str] = []
         if rows > 1:
             txv = _line("txV")
             relv = _line("relV")
             cmut = m_bcast if (m_bcast is not None and cols == 1) else None
             self.colmaster = StageMaster(txv, relv, f"{name}.cm",
                                          mutation=cmut)
+            col_t: list[str] = []
             for r in range(1, rows):
                 tid = f"{name}.cs{r}"
                 smut = m_slave if (cols == 1 and r == 1) else None
                 self.colslaves.append(
                     StageSlave(txv, relv, tid, mutation=smut))
-                self._col_tids.append(tid)
+                col_t.append(tid)
+            self._stages.append(_Stage(self.colmaster, self.colslaves,
+                                       col_t, (txv, relv)))
+        #: Every wire with the index of the stage it belongs to.
+        self._wired = [(gl, i) for i, st in enumerate(self._stages)
+                       for gl in st.lines]
 
         # ---- hooks --------------------------------------------------- #
         #: Called between assert and sample with (lines,) -- the network
@@ -133,8 +191,9 @@ class CollectiveFabric:
         self.perturb_hook: Callable[[list[GLine]], None] | None = None
         #: Hardened mode: mask + flag spurious release-line levels.
         self.guard = False
-        #: Called post-sample / pre-end_cycle with (lines,) -- the network
-        #: hangs wire tracing and toggle accounting here.
+        #: Called post-sample / pre-end_cycle with the clocked stages'
+        #: lines (the others are idle) -- the network hangs wire tracing
+        #: and toggle accounting here.
         self.wire_probe: Callable[[list[GLine]], None] | None = None
         #: Cluster mode: called once with the stage-global result.
         self.on_reduced: Callable[[int], None] | None = None
@@ -150,9 +209,17 @@ class CollectiveFabric:
         self._delivered = [False] * self.num_cores
         self._row_w = 1       # row stage result width
         self._bw = 1          # broadcast framing width
-        # Read-and-clear watermark for collect_integrity() (network-side
-        # bookkeeping only; deliberately not part of snapshot()).
-        self._int_seen = [0, 0, 0]
+        #: Stages the next tick visits: a controller acts, or a mutator
+        #: left a hand-off for _orchestrate.  Empty = nothing to do.
+        self._live: set[int] = set()
+        #: Masters clocked last tick: their drove_rel falls back to
+        #: False next tick, clocked or not.
+        self._drove: list[StageMaster] = []
+        # collect_integrity() bookkeeping (network-side only; deliberately
+        # not part of snapshot()): stages clocked since the last collect,
+        # and the episode's exhaustion level.
+        self._int_moved: set[int] = set()
+        self._int_exhausted = False
 
     # ------------------------------------------------------------------ #
     # episode control
@@ -211,9 +278,16 @@ class CollectiveFabric:
         contrib = ops.stage_contrib(self.kind, value, self.value_width)
         r, c = divmod(local, self.cols)
         if c == 0:
-            self.rmasters[r].set_own(contrib)
+            m = self.rmasters[r]
+            before = m.state
+            m.set_own(contrib)
+            if m.state == before:
+                return  # still gathering: nothing for the next tick
         else:
             self.rslaves[r][c - 1].set_input(contrib)
+        # The controller now acts (pulses, starts rounds) or holds a
+        # finished stage result for _orchestrate.
+        self._live.add(r)
 
     def open_with(self, value: int) -> None:
         """Cluster hand-off: broadcast the chip-global *value* locally.
@@ -255,9 +329,13 @@ class CollectiveFabric:
         if not keep_operands:
             self.kind = None
             self._skip_root = False
-        self._int_seen = [0, 0, 0]
+        for st in self._stages:
+            st.int_seen = (0, 0, 0)
+        self._int_moved.clear()
+        self._int_exhausted = False
         for gl in self.lines:
             gl.end_cycle()
+        self._live = {i for i, st in enumerate(self._stages) if st.busy()}
 
     def close_episode(self) -> None:
         """Finish the episode: full reset, ready for the next begin()."""
@@ -269,62 +347,78 @@ class CollectiveFabric:
     def tick(self) -> list[tuple[int, int]]:
         """Advance one network cycle; returns newly delivered
         ``(local, value)`` pairs."""
-        # Assert phase.
-        for r in range(self.rows):
-            self.rmasters[r].assert_phase()
-            for s, tid in zip(self.rslaves[r], self._slave_tids[r]):
+        stages = self._stages
+        live = self._live
+        for m in self._drove:
+            m.drove_rel = False
+        drove = []
+        # Assert phase: only acting controllers drive a wire.
+        for i in live:
+            st = stages[i]
+            st.master.assert_phase()
+            drove.append(st.master)
+            for s, tid in zip(st.slaves, st.tids):
                 s.assert_phase(tid)
-        if self.colmaster is not None:
-            self.colmaster.assert_phase()
-            for s, tid in zip(self.colslaves, self._col_tids):
-                s.assert_phase(tid)
+        self._drove = drove
 
         # Fault injection lands between assert and sample, like the
         # barrier network's tick.
         if self.perturb_hook is not None:
             self.perturb_hook(self.lines)
+        # A forced level reaches the controllers whether or not anyone
+        # drove the wire: clock its stage this tick.
+        for gl, i in self._wired:
+            if gl.stuck is not None or gl.glitch_force is not None \
+                    or gl.count_delta:
+                live.add(i)
         if self.guard:
-            self._guard_release_lines()
+            # Hardened mode: a release-line level the master did not
+            # drive is a wire fault -- flag it and mask it before the
+            # slaves sample, so a stuck-high wire degrades to detection
+            # + failover rather than a silently wrong value.
+            for i in live:
+                m = stages[i].master
+                if m.rel is not None and not m.drove_rel \
+                        and m.rel.sampled_on():
+                    m.fault_suspected = True
+                    m.rel.glitch_force = 0
 
         # Sample phase.
-        for r in range(self.rows):
-            self.rmasters[r].sample_phase()
-            for s in self.rslaves[r]:
+        for i in live:
+            st = stages[i]
+            st.master.sample_phase()
+            for s in st.slaves:
                 s.sample_phase()
-        if self.colmaster is not None:
-            self.colmaster.sample_phase()
-            for s in self.colslaves:
-                s.sample_phase()
+        lines = [gl for i in live for gl in stages[i].lines]
         if self.wire_probe is not None:
-            self.wire_probe(self.lines)
-        for gl in self.lines:
+            self.wire_probe(lines)
+        for gl in lines:
             gl.end_cycle()
+        self._int_moved |= live
 
-        return self._orchestrate()
-
-    def _guard_release_lines(self) -> None:
-        """Hardened mode: a release-line level the master did not drive
-        is a wire fault -- flag it and mask it before the slaves sample,
-        so a stuck-high wire degrades to detection + failover rather
-        than a silently wrong value."""
-        masters = list(self.rmasters)
-        if self.colmaster is not None:
-            masters.append(self.colmaster)
-        for m in masters:
-            if m.rel is not None and not m.drove_rel and m.rel.sampled_on():
-                m.fault_suspected = True
-                m.rel.glitch_force = 0
+        out = self._orchestrate()
+        # Every hand-off is consumed in the same pass, so what stays live
+        # is exactly the stages that act next tick.
+        self._live = {i for i in self._live if stages[i].acting()}
+        return out
 
     # ------------------------------------------------------------------ #
     # orchestration: pure state hand-offs between stages
     # ------------------------------------------------------------------ #
     def _orchestrate(self) -> list[tuple[int, int]]:
-        assert self.kind is not None or not any(
-            not m.idle for m in self.rmasters), "ticking a closed episode"
+        """Hand-offs for the stages that changed this tick (``_live``);
+        each hand-off wakes the stages it touches, and the later steps
+        see them."""
+        changed = self._live
+        assert self.kind is not None or all(
+            self.rmasters[r].idle for r in changed if r < self.rows), \
+            "ticking a closed episode"
         k2 = ops.COMBINE_KIND[self.kind] if self.kind else "sum"
 
         # Row stage done -> feed the column stage.
-        for r in range(self.rows):
+        for r in sorted(changed):
+            if r == self.rows:
+                continue
             m = self.rmasters[r]
             if m.state == M_DONE and not self._row_fed[r]:
                 self._row_fed[r] = True
@@ -337,20 +431,26 @@ class CollectiveFabric:
                         self.colmaster.set_own(contrib)
                     else:
                         self.colslaves[r - 1].set_input(contrib)
+                    changed.add(self.rows)
 
-        # Column stage done -> the global result exists.
-        if self.colmaster is not None \
-                and self.colmaster.state == M_DONE and not self._col_done:
-            self._col_done = True
-            self._global_done(self.colmaster.result)
+        if self.rows in changed:
+            # Column stage done -> the global result exists.
+            assert self.colmaster is not None
+            if self.colmaster.state == M_DONE and not self._col_done:
+                self._col_done = True
+                self._global_done(self.colmaster.result)
 
-        # Column broadcast landed at a row master -> start its row
-        # broadcast with the latched value.
-        for j, cs in enumerate(self.colslaves):
-            if cs.state == S_DONE:
-                rm = self.rmasters[j + 1]
-                if rm.state == M_DONE and self._bc_started:
-                    rm.start_broadcast(cs.result)
+            # Column broadcast landed at a row master -> start its row
+            # broadcast with the latched value.  (A row master is M_DONE
+            # before its column slave is even fed, so only a column
+            # change can complete this; _start_broadcast covers rows
+            # whose column slave finished first.)
+            for j, cs in enumerate(self.colslaves):
+                if cs.state == S_DONE:
+                    rm = self.rmasters[j + 1]
+                    if rm.state == M_DONE and self._bc_started:
+                        rm.start_broadcast(cs.result)
+                        changed.add(j + 1)
 
         # Broadcast landed -> deliver each core exactly once.  A master
         # is done when it has driven its last data bit; a slave when it
@@ -358,7 +458,9 @@ class CollectiveFabric:
         # same tick, so the whole row releases together; under a fault
         # the unaffected cores still make progress.
         out: list[tuple[int, int]] = []
-        for r in range(self.rows):
+        for r in sorted(changed):
+            if r == self.rows:
+                continue
             base = r * self.cols
             rm = self.rmasters[r]
             if rm.state == M_BC_DONE and not self._delivered[base] \
@@ -385,44 +487,39 @@ class CollectiveFabric:
         self._start_broadcast(result)
 
     def _start_broadcast(self, value: int) -> None:
+        # Each started master drives its broadcast next tick, or -- with
+        # no slaves -- has finished it and awaits delivery (except a
+        # lone root that open_with delivers upstream).
         self._bc_started = True
         if self.colmaster is not None:
             self.colmaster.start_broadcast(value)
+            self._live.add(self.rows)
         self.rmasters[0].start_broadcast(value)
+        if self.cols > 1 or not self._skip_root:
+            self._live.add(0)
         # Rows > 0 start when the column broadcast reaches them (or now,
         # if it already has -- e.g. open_with after the column settled).
         for j, cs in enumerate(self.colslaves):
             if cs.state == S_DONE and self.rmasters[j + 1].state == M_DONE:
                 self.rmasters[j + 1].start_broadcast(cs.result)
+                self._live.add(j + 1)
 
     # ------------------------------------------------------------------ #
     # status
     # ------------------------------------------------------------------ #
-    @property
-    def fault_suspected(self) -> bool:
-        if any(m.fault_suspected for m in self.rmasters):
-            return True
-        return self.colmaster is not None and self.colmaster.fault_suspected
-
     def collect_fault(self) -> bool:
         """Read-and-clear this tick's fault suspicions (network hook)."""
         found = False
-        for m in self.rmasters:
-            found |= m.fault_suspected
-            m.fault_suspected = False
-        if self.colmaster is not None:
-            found |= self.colmaster.fault_suspected
-            self.colmaster.fault_suspected = False
+        for st in self._stages:
+            found |= st.master.fault_suspected
+            st.master.fault_suspected = False
         return found
 
     # ------------------------------------------------------------------ #
     # integrity status (see repro.gline.integrity)
     # ------------------------------------------------------------------ #
     def _all_masters(self) -> list[StageMaster]:
-        masters = list(self.rmasters)
-        if self.colmaster is not None:
-            masters.append(self.colmaster)
-        return masters
+        return [st.master for st in self._stages]
 
     @property
     def int_exhausted(self) -> bool:
@@ -440,17 +537,22 @@ class CollectiveFabric:
     def collect_integrity(self) -> tuple[int, int, int, bool]:
         """Read-and-clear the episode's new integrity activity: returns
         ``(detections, round_retries, corrections, exhausted)`` deltas
-        since the previous collect (exhaustion is a level, not a delta)."""
-        masters = self._all_masters()
-        faults = sum(m.int_faults for m in masters)
-        retries = sum(m.int_retries for m in masters)
-        corrected = sum(m.int_corrected for m in masters)
-        exhausted = any(m.int_exhausted for m in masters)
-        seen = self._int_seen
-        out = (faults - seen[0], retries - seen[1], corrected - seen[2],
-               exhausted)
-        self._int_seen = [faults, retries, corrected]
-        return out
+        since the previous collect (exhaustion is a level, not a delta).
+        Counters move only while a stage is clocked, so only the stages
+        clocked since the previous collect are read."""
+        faults = retries = corrected = 0
+        for i in self._int_moved:
+            st = self._stages[i]
+            m = st.master
+            f0, r0, c0 = st.int_seen
+            faults += m.int_faults - f0
+            retries += m.int_retries - r0
+            corrected += m.int_corrected - c0
+            st.int_seen = (m.int_faults, m.int_retries, m.int_corrected)
+            if m.int_exhausted:
+                self._int_exhausted = True
+        self._int_moved.clear()
+        return faults, retries, corrected, self._int_exhausted
 
     @property
     def done(self) -> bool:
@@ -464,41 +566,7 @@ class CollectiveFabric:
         """Does the next tick change fabric state unprompted?  Mirrors
         the barrier network's power gating: False while merely waiting
         for arrivals (or parked on a held result)."""
-        for r in range(self.rows):
-            if self.rmasters[r].will_act():
-                return True
-            for s in self.rslaves[r]:
-                if s.will_act():
-                    return True
-        if self.colmaster is not None:
-            if self.colmaster.will_act():
-                return True
-            for s in self.colslaves:
-                if s.will_act():
-                    return True
-        return self._orchestration_pending()
-
-    def _orchestration_pending(self) -> bool:
-        for r in range(self.rows):
-            if self.rmasters[r].state == M_DONE and not self._row_fed[r]:
-                return True
-        if self.colmaster is not None \
-                and self.colmaster.state == M_DONE and not self._col_done:
-            return True
-        for j, cs in enumerate(self.colslaves):
-            if cs.state == S_DONE and self._bc_started \
-                    and self.rmasters[j + 1].state == M_DONE:
-                return True
-        for r in range(self.rows):
-            base = r * self.cols
-            rm = self.rmasters[r]
-            if rm.state == M_BC_DONE and not self._delivered[base] \
-                    and not (r == 0 and self._skip_root):
-                return True
-            for c, s in enumerate(self.rslaves[r], start=1):
-                if s.state == S_DONE and not self._delivered[base + c]:
-                    return True
-        return False
+        return bool(self._live)
 
     @property
     def idle(self) -> bool:
@@ -547,3 +615,10 @@ class CollectiveFabric:
             gl._asserting.clear()
             gl.glitch_force = None
             gl.count_delta = 0
+        # Any controller may have changed: every master's drove_rel is
+        # re-evaluated next tick, and every busy stage is visited (one
+        # parked on an already consumed hand-off is visited as a no-op).
+        self._drove = self._all_masters()
+        self._live = {i for i, st in enumerate(self._stages) if st.busy()}
+        self._int_moved = set(range(len(self._stages)))
+        self._int_exhausted = False

@@ -253,12 +253,14 @@ class CollectiveNetwork(Component):
         self.injector.perturb_glines(lines, now=self.now)
 
     def _wire_probe(self, lines: list[GLine]) -> None:
-        tracing = self.tracer.enabled
-        for line in lines:
-            if tracing:
+        """*lines* are the wires of this tick's clocked stages; every
+        other wire is idle (level 0, no toggles) but still traced."""
+        if self.tracer.enabled:
+            for line in self.fabric.lines:
                 self.tracer.emit(self.now, line.name, obs_ev.GL_WIRE,
                                  level=int(line.sampled_on()),
                                  count=line.sample_count())
+        for line in lines:
             self.stats.gline_toggles += len(line._asserting)
 
     def _complete(self, deliveries: list[tuple[int, int]]) -> None:

@@ -6,6 +6,8 @@ import pytest
 
 from repro.collectives import ops
 from repro.collectives.config import CollectiveConfig
+from repro.collectives.controllers import M_DONE, StageSlave
+from repro.collectives.fabric import CollectiveFabric
 from repro.collectives.network import CollectiveNetwork
 from repro.common.errors import CapacityError, GLineError
 from repro.common.params import GLineConfig
@@ -125,3 +127,29 @@ def test_metrics_recorded():
     snap = obs.metrics.to_dict()
     assert snap["counters"]["collectives.episodes"] == 1
     assert net.stats.counters["collectives.completed"] == 1
+
+
+def test_tick_clocks_only_active_stages(monkeypatch):
+    """Rows whose cores have not arrived, and the column until a row
+    hands it a partial, are never clocked; the arrived row still
+    reduces and parks its partial."""
+    sampled = []
+    real = StageSlave.sample_phase
+
+    def counting(self):
+        sampled.append(self)
+        real(self)
+    monkeypatch.setattr(StageSlave, "sample_phase", counting)
+
+    fab = CollectiveFabric(3, 3, 4, 6)
+    fab.begin("sum")
+    for local in range(3):          # row 0 only
+        fab.arrive_local(local, local + 1)
+    ticks = 0
+    while fab.will_act():
+        assert fab.tick() == []
+        ticks += 1
+    assert ticks > 0 and fab.rmasters[0].state == M_DONE
+    idle = fab.rslaves[1] + fab.rslaves[2] + fab.colslaves
+    assert not any(s in sampled for s in idle)
+    assert set(sampled) == set(fab.rslaves[0])

@@ -54,6 +54,32 @@ def test_state_counts_are_deterministic():
     assert (a.states, a.transitions) == (b.states, b.transitions)
 
 
+#: The census: (rows, cols, kind, width, integrity, adversary budget) ->
+#: (states, transitions).  The explorer drives the production fabric, so
+#: these counts pin what its tick computes, state for state; an
+#: optimisation of the tick path must leave every row unchanged.
+CENSUS = [
+    (2, 2, "sum", 2, "off", 0, 78, 479),
+    (2, 3, "min", 2, "off", 0, 288, 1523),
+    (3, 3, "max", 2, "off", 0, 5616, 27683),
+    (2, 2, "sum", 2, "echo", 1, 852, 11995),
+    (2, 3, "any", 2, "residue", 1, 1445, 11486),
+    (3, 3, "sum", 1, "echo", 1, 12457, 91567),
+    (2, 2, "vote", 2, "vote", 1, 644, 7394),
+]
+
+
+@pytest.mark.parametrize(
+    "rows,cols,kind,width,integrity,k,states,transitions", CENSUS)
+def test_census_matches_golden(rows, cols, kind, width, integrity, k,
+                               states, transitions):
+    model = CollectiveModel(rows, cols, kind, width=width,
+                            integrity=integrity, adversary_budget=k)
+    result = explore_collective(model, max_states=1_000_000)
+    assert result.ok, result.counterexample
+    assert (result.states, result.transitions) == (states, transitions)
+
+
 # ---------------------------------------------------------------------- #
 # Planted mutations: caught, concretized, confirmed by replay.
 # ---------------------------------------------------------------------- #
