@@ -7,15 +7,15 @@ collective backend and integrity mode, slot multiplexing, recovery
 knobs -- into a searchable space and maps its latency/energy/area/
 resilience trade-off frontier automatically.  Two layers:
 
-* **Async sweep scheduler** (:mod:`repro.dse.scheduler`): an asyncio
-  generalization of :class:`~repro.exec.ParallelRunner` that shards
-  arbitrary spec batches over one or more bounded worker pools, serves
-  and feeds the content-addressed :class:`~repro.exec.ResultCache`,
-  journals every attempt into a :class:`~repro.exec.SweepJournal` (so
-  ``repro resume`` works on DSE runs), and reuses the supervisor's
-  worker entry point, deadline heuristic, failure taxonomy, chaos hook
-  and full-jitter backoff per attempt.  Progress is reported through
-  ``dse.*`` metric streams (:mod:`repro.obs`).
+* **The run dispatcher** (:class:`~repro.exec.scheduler.SweepScheduler`
+  and :class:`~repro.exec.scheduler.WorkerPool`, re-exported here): the
+  one scheduler every executor uses, driven directly by the search so a
+  batch can be sharded over several bounded worker pools (``--pools``).
+  It serves and feeds the content-addressed
+  :class:`~repro.exec.ResultCache`, journals every attempt into a
+  :class:`~repro.exec.SweepJournal` (so ``repro resume`` works on DSE
+  runs) and reports through the ``exec.*`` metric streams
+  (:mod:`repro.obs`).
 * **Pareto search driver** (:mod:`repro.dse.search` over
   :mod:`repro.dse.space` / :mod:`repro.dse.objectives` /
   :mod:`repro.dse.pareto`): a typed :class:`DseSpace` of sweepable
@@ -32,10 +32,10 @@ warm rerun reproduces the committed golden front byte-for-byte with
 zero re-simulation.  See ``docs/dse.md``.
 """
 
+from ..exec.scheduler import SweepScheduler, WorkerPool
 from .objectives import OBJECTIVES, Objective, extract_objectives
 from .pareto import (crowded_order, dominates, nondominated_sort,
                      pareto_front)
-from .scheduler import SweepScheduler, WorkerPool
 from .search import (DEFAULT_OBJECTIVES, DEFAULT_RUNGS, FrontPoint,
                      SearchError, SearchResult, front_csv, front_json,
                      run_search)

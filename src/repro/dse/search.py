@@ -1,7 +1,7 @@
 """Seeded successive-halving + local-mutation Pareto search.
 
 The loop proposes cohorts of design points, evaluates them through a
-:class:`~repro.dse.scheduler.SweepScheduler` at increasing *fidelity*
+:class:`~repro.exec.scheduler.SweepScheduler` at increasing *fidelity*
 rungs (workload iterations), truncates each rung to the better half in
 :func:`~repro.dse.pareto.crowded_order`, and keeps every top-rung
 objective vector in an elite pool.  Subsequent cohorts are one-axis
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..common.errors import ReproError
+from ..exec.scheduler import SweepScheduler
 from .objectives import OBJECTIVES, extract_objectives
 from .pareto import crowded_order, pareto_front
-from .scheduler import SweepScheduler
 from .space import DsePoint, DseSpace
 
 #: Fidelity rungs: workload iterations per successive-halving stage.

@@ -9,13 +9,16 @@ supervises the whole sweep like a job scheduler:
   (chip config + workload state + barrier + seed + code version).
 * :class:`ResultCache` -- content-addressed JSON store; the cache format
   is exactly ``RunResult.to_dict()``, the same dict the worker IPC ships.
-* :class:`ParallelRunner` -- batch executor (``jobs`` workers) that serves
-  hits from the cache and writes back misses as they complete.
-* :class:`~repro.exec.supervisor.Supervisor` (engaged via the runner's
-  ``timeout`` / ``retries`` / ``keep_going`` / ``journal`` / ``chaos``
-  keywords) -- per-spec deadlines, crash/hang detection, bounded retries
-  with full-jitter backoff, quarantine (:class:`RunFailure`), and clean
-  SIGINT draining.
+* :class:`ParallelRunner` -- synchronous batch executor that serves hits
+  from the cache, runs ``jobs == 1`` (or single) misses in-process and
+  hands every other miss to the run dispatcher.
+* :class:`~repro.exec.scheduler.SweepScheduler` -- the one run
+  dispatcher (imported on first use, not here: it pulls in asyncio).
+  One process per attempt over bounded worker pools, with per-spec
+  deadlines, crash/hang detection, bounded retries with full-jitter
+  backoff, quarantine (:class:`RunFailure`), stop-on-first-failure and
+  clean SIGINT draining; the runner's ``timeout`` / ``retries`` /
+  ``keep_going`` / ``journal`` / ``chaos`` keywords set its policy.
 * :class:`SweepJournal` -- JSONL manifest of every hit/attempt/outcome,
   the input to ``repro resume``.
 * :func:`current_executor` / :func:`use_executor` -- the ambient executor
@@ -24,7 +27,7 @@ supervises the whole sweep like a job scheduler:
   ``--keep-going`` and ``--journal`` flags install one here.
 
 See ``docs/parallel-execution.md`` for the design, the cache-key
-definition and the supervision lifecycle.
+definition and the dispatcher lifecycle.
 """
 
 from .cache import CACHE_DIR_ENV, ResultCache, default_cache_dir

@@ -11,7 +11,7 @@ and quarantines.  It serves three roles:
   the sweep, so ``repro resume <journal>`` can replay the same command;
   completed specs then short-circuit through the result cache and are
   never re-simulated.
-* **Interrupt record.**  A SIGINT'd supervisor appends an ``interrupted``
+* **Interrupt record.**  A SIGINT'd dispatcher appends an ``interrupted``
   marker after draining, so a journal always ends in a known state.
 
 Writes are single ``write()`` calls of one ``\\n``-terminated line, each
@@ -78,7 +78,7 @@ class SweepJournal:
     def attempt(self, key: str, attempt: int, outcome: str,
                 detail: str | None = None) -> None:
         """One execution attempt finished with *outcome* (``ok`` or a
-        failure kind from the supervisor's taxonomy)."""
+        failure kind from the dispatcher's taxonomy)."""
         record = {"type": "attempt", "key": key, "attempt": attempt,
                   "outcome": outcome}
         if detail:
@@ -99,7 +99,7 @@ class SweepJournal:
 
     def interrupted(self) -> None:
         """The sweep was interrupted (SIGINT) after draining workers.
-        Idempotent per session: the supervisor and the CLI may both
+        Idempotent per session: the dispatcher and the CLI may both
         report the same interrupt."""
         if not self._interrupted:
             self._interrupted = True

@@ -1,38 +1,26 @@
-"""Supervised execution: deadlines, retries, quarantine, clean shutdown.
+"""Supervision policy: the failure taxonomy, deadlines and the worker.
 
-The plain pool path in :mod:`repro.exec.parallel` assumes workers are
-well-behaved: they return a result or raise a picklable exception.  Real
-sweeps meet worse -- OOM-killed children, wedged runs, flaky hosts -- and
-a bare pool turns any of those into a lost batch.  This module is the
-job-supervisor answer:
+Every run that leaves the parent process goes through the sweep
+scheduler (:mod:`repro.exec.scheduler`); this module holds what that
+dispatcher supervises *with*:
 
-* **One process per attempt.**  Each pending spec runs in its own
-  ``multiprocessing`` ``Process`` with a dedicated pipe, so the parent can
-  observe three distinct terminal states: a message arrived (``ok`` or
-  ``sim-error``), the process died silently (``crash`` -- the exitcode
-  says how), or a wall-clock deadline passed (``timeout`` -- the child is
-  killed).
-* **Deadlines.**  Per-spec, from an explicit ``timeout`` or derived from
-  the spec's event budget (`deadline_for`).  No deadline means hangs are
-  tolerated, exactly like the unsupervised path.
-* **Bounded retries with full-jitter backoff.**  ``timeout`` and
-  ``crash`` failures are environmental and retried up to ``retries``
-  times, each after ``uniform(0, base * 2**attempt)`` seconds.
-  ``sim-error`` failures are *deterministic* (the simulator is) and fail
-  fast -- retrying would reproduce the same exception.
-* **Quarantine.**  A spec that exhausts its retries is quarantined: a
-  :class:`RunFailure` of kind ``quarantined`` records the last underlying
-  kind, and -- under ``keep_going`` -- the sweep continues without it.
-* **Graceful degradation.**  Every crash shrinks the in-flight width by
-  one (never below 1), so a host that kills big pools decays toward
-  serial execution instead of thrashing.
-* **Clean interrupts.**  On SIGINT the supervisor stops launching,
-  terminates and joins everything in flight (no zombies), journals an
-  ``interrupted`` marker and re-raises -- everything already completed is
-  in the cache and the journal, ready for ``repro resume``.
+* **The failure taxonomy.**  An attempt ends in one of three observable
+  states: a message arrived (``ok`` or ``sim-error``), the process died
+  silently (``crash`` -- the exitcode says how), or a wall-clock
+  deadline passed (``timeout`` -- the child is killed).  ``timeout``
+  and ``crash`` are environmental and retried with full-jitter backoff;
+  ``sim-error`` is *deterministic* (the simulator is) and fails fast.
+  A spec that exhausts its retries is ``quarantined``.
+* **Deadlines** (:func:`deadline_for`): per spec, from an explicit
+  ``timeout`` or derived from the spec's event budget.  No deadline
+  means hangs are tolerated.
+* **The worker entry point** (:func:`_supervised_worker`): one process
+  per attempt, with a dedicated pipe, a chaos hook and the
+  nested-parallelism guard.
+* **Terminal failures** (:class:`RunFailure`, :class:`RunFailureError`).
 
 Chaos (:class:`~repro.faults.chaos.ChaosPlan`) is enacted *inside* the
-worker, before the simulation starts, keyed by the supervisor's stable
+worker, before the simulation starts, keyed by the scheduler's stable
 dispatch ordinal -- so a seeded chaos run strikes the same attempts on
 every machine, and results (when attempts survive) are byte-identical to
 a calm run's.
@@ -41,15 +29,14 @@ a calm run's.
 from __future__ import annotations
 
 import os
-import random
+import pickle
 import signal
 import time
-from dataclasses import dataclass
-from multiprocessing.connection import wait as _conn_wait
+from dataclasses import dataclass, field
+from typing import Any
 
 from ..common.errors import ReproError
 from ..faults.chaos import HANG, KILL, OOM, ChaosPlan
-from .spec import RunSpec
 
 #: Failure taxonomy (the ``kind`` field of :class:`RunFailure`).
 TIMEOUT, CRASH, SIM_ERROR, QUARANTINED = \
@@ -61,8 +48,8 @@ TIMEOUT, CRASH, SIM_ERROR, QUARANTINED = \
 DEADLINE_FLOOR_S = 10.0
 SECONDS_PER_EVENT = 1e-4
 
-#: Hang-chaos without a deadline would wedge forever; supervised runs
-#: with ``hang_rate > 0`` and no explicit timeout get this one.
+#: Hang-chaos without a deadline would wedge forever; a scheduler with
+#: ``hang_rate > 0`` and no explicit timeout gets this one.
 CHAOS_DEFAULT_TIMEOUT_S = 60.0
 
 #: Default base for the full-jitter exponential backoff, seconds.
@@ -70,16 +57,18 @@ BACKOFF_BASE_S = 0.05
 BACKOFF_CAP_S = 2.0
 
 
-def deadline_for(spec: RunSpec, timeout: float | None) -> float | None:
+def deadline_for(spec: Any, timeout: float | None) -> float | None:
     """Wall-clock budget for one attempt at *spec* (None = unlimited).
 
     An explicit *timeout* wins; otherwise a spec with an event budget
-    gets ``DEADLINE_FLOOR_S + max_events * SECONDS_PER_EVENT``.
+    gets ``DEADLINE_FLOOR_S + max_events * SECONDS_PER_EVENT``.  A spec
+    with no ``max_events`` (or ``None``) has no budget to derive from.
     """
     if timeout is not None:
         return timeout
-    if spec.max_events is not None:
-        return DEADLINE_FLOOR_S + spec.max_events * SECONDS_PER_EVENT
+    max_events = getattr(spec, "max_events", None)
+    if max_events is not None:
+        return DEADLINE_FLOOR_S + max_events * SECONDS_PER_EVENT
     return None
 
 
@@ -97,6 +86,10 @@ class RunFailure:
     attempts: int
     #: Human-readable cause: exception repr, exitcode, deadline.
     detail: str
+    #: A sim-error's exception object, as the worker raised it (None
+    #: for other kinds, or when it could not cross the pipe).
+    error: BaseException | None = field(default=None, repr=False,
+                                        compare=False)
 
     def __str__(self) -> str:
         where = f"spec[{self.index}]"
@@ -107,8 +100,8 @@ class RunFailure:
 
 
 class RunFailureError(ReproError):
-    """A supervised batch had terminal failures (and ``keep_going`` was
-    off, so partial results were cached but not returned)."""
+    """A batch had terminal failures (and ``keep_going`` was off, so
+    partial results were cached but not returned)."""
 
     def __init__(self, failures: list[RunFailure]):
         self.failures = failures
@@ -133,318 +126,36 @@ def _enact_chaos(action: str | None, hang_seconds: float) -> None:
             time.sleep(min(1.0, hang_seconds))
 
 
-def _supervised_worker(conn, spec: RunSpec, chaos: dict | None,
+def _portable(exc: BaseException) -> BaseException | None:
+    """*exc* if it survives the pipe's pickle round trip, else None."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:                   # noqa: BLE001
+        return None
+    return exc
+
+
+def _supervised_worker(conn: Any, spec: Any, chaos: dict[str, Any] | None,
                        token: str, attempt: int) -> None:
     """Process entry point: one attempt at one spec.
 
-    Sends ``("ok", result_dict)`` or ``("sim-error", detail)`` over
-    *conn*; a chaos strike (or a real crash) sends nothing and the parent
-    reads the exitcode instead.
+    Sends ``("ok", result_dict, None)`` or ``("sim-error", detail,
+    exception)`` over *conn*; a chaos strike (or a real crash) sends
+    nothing and the parent reads the exitcode instead.
     """
-    # Nested-parallelism guard: whatever ambient executor the parent had
-    # installed (inherited wholesale under the fork start method), this
-    # process must never fork its own pool or write the parent's cache.
-    from .parallel import ParallelRunner, use_executor
+    # The guard in _execute_to_dict matters here too: under the fork
+    # start method this process inherits the parent's ambient executor.
+    from .parallel import _execute_to_dict
 
     if chaos is not None:
         plan = ChaosPlan.from_dict(chaos)
         _enact_chaos(plan.roll(token, attempt), plan.hang_seconds)
     try:
-        with use_executor(ParallelRunner(jobs=1, cache=None)):
-            result = spec.execute().to_dict()
+        result = _execute_to_dict(spec)
     except Exception as exc:            # noqa: BLE001 -- shipped, not hidden
-        conn.send((SIM_ERROR, f"{type(exc).__name__}: {exc}"))
+        conn.send((SIM_ERROR, f"{type(exc).__name__}: {exc}",
+                   _portable(exc)))
     else:
-        conn.send(("ok", result))
+        conn.send(("ok", result, None))
     finally:
         conn.close()
-
-
-# ---------------------------------------------------------------------- #
-# Parent side
-# ---------------------------------------------------------------------- #
-@dataclass
-class _Task:
-    """One pending spec's supervision state."""
-
-    index: int                  # position in the caller's batch
-    spec: RunSpec
-    key: str | None
-    token: str                  # stable chaos/dispatch ordinal
-    attempt: int = 0            # 0-based attempt about to run / running
-    ready_at: float = 0.0       # monotonic time the next attempt may start
-
-
-class _InFlight:
-    """A launched attempt: process + pipe + deadline."""
-
-    def __init__(self, task: _Task, process, conn,
-                 deadline: float | None):
-        self.task = task
-        self.process = process
-        self.conn = conn
-        self.started = time.monotonic()
-        self.deadline = None if deadline is None \
-            else self.started + deadline
-
-
-class Supervisor:
-    """Runs a batch of pending specs under full supervision.
-
-    The constructor captures policy; :meth:`dispatch` executes one batch,
-    caching and journaling as results land, and returns the list of
-    :class:`RunFailure`\\ s (empty on full success).
-    """
-
-    def __init__(self, jobs: int, *, timeout: float | None = None,
-                 retries: int = 2, keep_going: bool = False,
-                 journal=None, chaos: ChaosPlan | None = None,
-                 metrics=None, backoff_base: float = BACKOFF_BASE_S,
-                 cache=None):
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        self.jobs = max(1, jobs)
-        self.timeout = timeout
-        if self.timeout is None and chaos is not None and chaos.hang_rate:
-            self.timeout = CHAOS_DEFAULT_TIMEOUT_S
-        self.retries = retries
-        self.keep_going = keep_going
-        self.journal = journal
-        self.chaos = chaos if (chaos is not None and chaos.enabled) \
-            else None
-        self.metrics = metrics
-        self.backoff_base = backoff_base
-        self.cache = cache
-        #: Runner-lifetime dispatch ordinal: the chaos token of the n-th
-        #: pending spec ever enqueued.  Stable for a fixed command line,
-        #: independent of the code fingerprint, so seeded chaos strikes
-        #: the same runs on every commit.
-        self._ordinal = 0
-        # Backoff jitter: seeded so a retried sweep schedules (not
-        # results -- delays never reach the journal) reproducibly.
-        self._rng = random.Random(chaos.seed if chaos is not None else 0)
-
-    # ------------------------------------------------------------------ #
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
-
-    def _ctx(self):
-        import multiprocessing
-        return multiprocessing.get_context()
-
-    # ------------------------------------------------------------------ #
-    def dispatch(self, pending, results: list) -> list[RunFailure]:
-        """Run *pending* -- ``(index, spec, key)`` triples -- under
-        supervision, filling ``results[index]`` and caching each success.
-
-        Returns terminal failures; raises :class:`RunFailureError` for
-        them instead when ``keep_going`` is off (after draining, caching
-        and journaling everything else in flight).
-        """
-        ctx = self._ctx()
-        queue: list[_Task] = []
-        for index, spec, key in pending:
-            queue.append(_Task(index=index, spec=spec, key=key,
-                               token=str(self._ordinal)))
-            self._ordinal += 1
-        width = min(self.jobs, len(queue))
-        if self.metrics is not None:
-            self.metrics.gauge("exec.pool.width").set(width)
-        inflight: list[_InFlight] = []
-        failures: list[RunFailure] = []
-        aborting = False        # a failure occurred and keep_going is off
-
-        try:
-            while queue or inflight:
-                # Launch while there is width and ready work (when
-                # aborting we only drain what is already in flight).
-                now = time.monotonic()
-                if not aborting:
-                    ready = [t for t in queue if t.ready_at <= now]
-                    while ready and len(inflight) < width:
-                        task = ready.pop(0)
-                        queue.remove(task)
-                        inflight.append(self._launch(ctx, task))
-                if not inflight:
-                    if aborting:
-                        break
-                    # Everything pending is backing off; sleep to the
-                    # soonest ready time.
-                    soonest = min(t.ready_at for t in queue)
-                    time.sleep(max(0.0, soonest - now))
-                    continue
-
-                self._await(inflight)
-                for flight in list(inflight):
-                    outcome = self._reap(flight)
-                    if outcome is None:
-                        continue            # still running
-                    inflight.remove(flight)
-                    kind, payload = outcome
-                    task = flight.task
-                    if kind == "ok":
-                        self._complete(task, payload, results)
-                        continue
-                    if self.journal is not None:
-                        self.journal.attempt(task.key or task.token,
-                                             task.attempt, kind,
-                                             detail=payload)
-                    if kind == CRASH:
-                        width = max(1, width - 1)
-                        if self.metrics is not None:
-                            self.metrics.gauge("exec.pool.width") \
-                                .set(width)
-                    if kind != SIM_ERROR and task.attempt < self.retries:
-                        self._schedule_retry(task)
-                        queue.append(task)
-                        continue
-                    failure = self._fail(task, kind, payload)
-                    failures.append(failure)
-                    if not self.keep_going:
-                        aborting = True
-        except KeyboardInterrupt:
-            self._terminate_all(inflight)
-            if self.journal is not None:
-                self.journal.interrupted()
-            raise
-        if failures and not self.keep_going:
-            raise RunFailureError(failures)
-        return failures
-
-    # ------------------------------------------------------------------ #
-    def _launch(self, ctx, task: _Task) -> _InFlight:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        chaos = self.chaos.to_dict() if self.chaos is not None else None
-        process = ctx.Process(
-            target=_supervised_worker,
-            args=(child_conn, task.spec, chaos, task.token, task.attempt),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        return _InFlight(task, process, parent_conn,
-                         deadline_for(task.spec, self.timeout))
-
-    def _await(self, inflight: list[_InFlight]) -> None:
-        """Block until a result lands, a process dies, or the nearest
-        deadline (or a short poll tick) expires."""
-        now = time.monotonic()
-        waits = [0.1]
-        for flight in inflight:
-            if flight.deadline is not None:
-                waits.append(flight.deadline - now)
-        timeout = max(0.0, min(waits))
-        handles = [f.conn for f in inflight] + \
-            [f.process.sentinel for f in inflight]
-        _conn_wait(handles, timeout)
-
-    def _reap(self, flight: _InFlight):
-        """Terminal state of *flight*, or None if it is still running.
-
-        Returns ``("ok", result_dict)`` or ``(failure_kind, detail)``.
-        """
-        # Sample liveness BEFORE polling the pipe: a worker's last acts
-        # are send-then-exit, so a death observed here guarantees any
-        # result it produced is already visible to poll() below.  The
-        # opposite order has a race -- an exit between poll() and
-        # is_alive() would misread a completed run as a crash.
-        alive = flight.process.is_alive()
-        if flight.conn.poll():
-            try:
-                kind, payload = flight.conn.recv()
-            except (EOFError, OSError):
-                return self._crash_outcome(flight)
-            flight.process.join()
-            flight.conn.close()
-            return (kind, payload)
-        if not alive:
-            flight.process.join()
-            return self._crash_outcome(flight)
-        if flight.deadline is not None \
-                and time.monotonic() >= flight.deadline:
-            self._kill(flight.process)
-            flight.conn.close()
-            elapsed = time.monotonic() - flight.started
-            self._count("exec.timeouts")
-            return (TIMEOUT, f"deadline {elapsed:.1f}s exceeded")
-        return None
-
-    def _crash_outcome(self, flight: _InFlight):
-        flight.conn.close()
-        self._count("exec.crashes")
-        code = flight.process.exitcode
-        how = f"signal {-code}" if (code is not None and code < 0) \
-            else f"exitcode {code}"
-        return (CRASH, f"worker died ({how})")
-
-    @staticmethod
-    def _kill(process) -> None:
-        process.terminate()
-        process.join(timeout=2.0)
-        if process.is_alive():          # SIGTERM ignored; escalate
-            process.kill()
-            process.join()
-
-    def _terminate_all(self, inflight: list[_InFlight]) -> None:
-        for flight in inflight:
-            # Drain finished workers -- their results are real -- and
-            # kill the rest so nothing is leaked.
-            if flight.conn.poll():
-                try:
-                    kind, payload = flight.conn.recv()
-                    if kind == "ok":
-                        self._store(flight.task, payload)
-                        if self.journal is not None:
-                            self.journal.done(
-                                flight.task.key or flight.task.token,
-                                flight.task.attempt + 1)
-                except (EOFError, OSError):
-                    pass
-            self._kill(flight.process)
-            flight.conn.close()
-        inflight.clear()
-
-    # ------------------------------------------------------------------ #
-    def _store(self, task: _Task, result_dict: dict) -> None:
-        if self.cache is not None and task.key is not None:
-            self.cache.put(task.key, task.spec.fingerprint(), result_dict)
-
-    def _complete(self, task: _Task, result_dict: dict,
-                  results: list) -> None:
-        from .parallel import _result_decoder
-
-        self._store(task, result_dict)
-        results[task.index] = _result_decoder(task.spec)(result_dict)
-        if self.journal is not None:
-            self.journal.attempt(task.key or task.token, task.attempt,
-                                 "ok")
-            self.journal.done(task.key or task.token, task.attempt + 1)
-
-    def _schedule_retry(self, task: _Task) -> None:
-        delay = self._rng.uniform(
-            0.0, min(BACKOFF_CAP_S,
-                     self.backoff_base * (2 ** task.attempt)))
-        task.attempt += 1
-        task.ready_at = time.monotonic() + delay
-        self._count("exec.retries")
-        if self.metrics is not None:
-            self.metrics.histogram("exec.retry.delay_ms") \
-                .record(int(delay * 1000))
-
-    def _fail(self, task: _Task, kind: str, detail: str) -> RunFailure:
-        attempts = task.attempt + 1
-        if kind == SIM_ERROR:
-            self._count("exec.sim_errors")
-            failure = RunFailure(index=task.index, key=task.key,
-                                 kind=SIM_ERROR, attempts=attempts,
-                                 detail=detail)
-        else:
-            # Retries exhausted: the spec is poison; quarantine it.
-            self._count("exec.quarantined")
-            failure = RunFailure(index=task.index, key=task.key,
-                                 kind=QUARANTINED, attempts=attempts,
-                                 detail=f"last failure: {kind} ({detail})")
-        if self.journal is not None:
-            self.journal.quarantine(task.key or task.token, attempts,
-                                    kind)
-        return failure

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..common.params import mesh_dims
-from ..dse.scheduler import SweepScheduler
 from ..dse.search import DEFAULT_OBJECTIVES, SearchResult, run_search
 from ..dse.space import Axis, DseSpace
+from ..exec.scheduler import SweepScheduler
 
 #: Fidelity rungs for the crossover searches (big meshes are costly;
 #: the top rung stays modest).

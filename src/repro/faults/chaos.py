@@ -3,13 +3,13 @@
 Where :class:`~repro.faults.plan.FaultPlan` breaks the simulated hardware
 (wires, packets, cores), :class:`ChaosPlan` breaks the machinery that
 *runs* the simulations: it tells a supervised worker process to die, hang
-or get "OOM-killed" before executing its spec, so the supervision layer in
-:mod:`repro.exec.supervisor` -- deadlines, retries, quarantine, resume --
+or get "OOM-killed" before executing its spec, so the run dispatcher in
+:mod:`repro.exec.scheduler` -- deadlines, retries, quarantine, resume --
 is itself testable end to end.
 
 Determinism mirrors the fault injector: every roll is a pure function of
 ``(seed, token, attempt)`` hashed through SHA-256 (never the salted
-built-in ``hash()``), where *token* is the supervisor's stable per-spec
+built-in ``hash()``), where *token* is the dispatcher's stable per-spec
 dispatch ordinal.  The same seed therefore strikes the same runs on every
 machine and every commit, which is what lets CI pin "worker N dies, the
 retry succeeds, the figure still matches the golden numbers".
@@ -79,7 +79,7 @@ class ChaosPlan:
     def roll(self, token: str, attempt: int) -> str | None:
         """``"kill"``, ``"hang"``, ``"oom"`` or ``None`` for this attempt.
 
-        *token* identifies the unit of work (the supervisor uses its
+        *token* identifies the unit of work (the dispatcher uses its
         stable dispatch ordinal); *attempt* is the 0-based retry number,
         so a struck run gets an independent draw on each retry.
         """

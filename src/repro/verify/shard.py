@@ -6,8 +6,8 @@ from the initial state.  Each root becomes a :class:`VerifyShardSpec` --
 the verify analogue of :class:`~repro.exec.spec.RunSpec` -- so shards fan
 out over :class:`~repro.exec.ParallelRunner` worker processes, land in
 the persistent :class:`~repro.exec.ResultCache` keyed by mesh, scenario,
-mutation, prefix and ``code_fingerprint()``, and enjoy the supervisor's
-timeout/retry/journal machinery for free.
+mutation, prefix and ``code_fingerprint()``, and enjoy the run
+dispatcher's timeout/retry/journal machinery for free.
 
 Shards overlap wherever their subtrees reconverge, so merged state and
 transition totals are an upper bound on the single-process count; the
@@ -65,10 +65,10 @@ class VerifyShardSpec:
     """A picklable, content-hashable sub-exploration rooted at a prefix.
 
     Satisfies the executor's spec protocol: ``key()``/``fingerprint()``
-    for the cache, ``execute()`` for the worker, ``result_from_dict`` so
-    the runner decodes stored dicts into :class:`VerifyShardResult`
-    instead of ``RunResult``, and ``max_events = None`` so the
-    supervisor's deadline heuristic falls back to its flat default.
+    for the cache, ``execute()`` for the worker, and ``result_from_dict``
+    so the runner decodes stored dicts into :class:`VerifyShardResult`
+    instead of ``RunResult``.  It has no event budget, so
+    :func:`~repro.exec.supervisor.deadline_for` derives no deadline.
     """
 
     rows: int
@@ -78,9 +78,6 @@ class VerifyShardSpec:
     episodes: int = 1
     prefix: Tuple[int, ...] = ()
     max_states: int = 2_000_000
-
-    #: Supervisor deadline hook (no event budget for explorations).
-    max_events: Optional[int] = None
 
     #: Executor protocol: decode cached/IPC dicts into shard results.
     result_from_dict = staticmethod(VerifyShardResult.from_dict)

@@ -72,8 +72,8 @@ def test_dse_metrics_snapshot(tmp_path, capsys):
                                   "--metrics", str(metrics)], capsys)
     assert rc == 0
     snapshot = json.loads(metrics.read_text())
-    assert snapshot["counters"]["dse.attempts"] == 6
-    assert snapshot["counters"]["dse.ok"] == 6
+    assert snapshot["counters"]["exec.attempts"] == 6
+    assert snapshot["counters"]["exec.ok"] == 6
 
 
 def test_dse_rejects_unknown_space_and_objectives(tmp_path, capsys):

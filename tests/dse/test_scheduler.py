@@ -1,7 +1,8 @@
 """SweepScheduler: cache/journal integration, pools, retries, chaos,
-and the dse.* metric accounting identity."""
+and the exec.* metric accounting identity."""
 
 import pytest
+from helpers import assert_attempts_accounted
 
 from repro.dse import SPACES, SweepScheduler, WorkerPool
 from repro.exec import ResultCache, RunFailureError, SweepJournal
@@ -27,13 +28,6 @@ class ExplodingSpec:
         raise ValueError("deterministic failure")
 
 
-def _attempt_identity(metrics):
-    att = metrics.counter("dse.attempts").value
-    outcomes = sum(metrics.counter(f"dse.{k}").value
-                   for k in ("ok", "crashes", "timeouts", "sim_errors"))
-    assert att == outcomes, "dse.* metrics must account for every attempt"
-
-
 def test_results_are_positional_and_cached(tmp_path):
     cache = ResultCache(tmp_path)
     specs = _specs(3)
@@ -44,12 +38,12 @@ def test_results_are_positional_and_cached(tmp_path):
         assert result.total_cycles > 0
         assert spec.key() in cache
     assert (sched.hits, sched.misses) == (0, 3)
-    _attempt_identity(sched.metrics)
+    assert_attempts_accounted(sched.metrics)
 
     warm = SweepScheduler(jobs=2, cache=cache)
     again = warm.run(specs)
     assert (warm.hits, warm.misses) == (3, 0)
-    assert warm.metrics.counter("dse.attempts").value == 0
+    assert warm.metrics.counter("exec.attempts").value == 0
     assert [r.to_dict() for r in again] == \
         [r.to_dict() for r in results]
 
@@ -65,10 +59,10 @@ def test_multiple_pools_share_the_batch(tmp_path):
     pools = (WorkerPool("a", 1), WorkerPool("b", 1))
     sched = SweepScheduler(pools, cache=ResultCache(tmp_path))
     sched.run(_specs(4))
-    a = sched.metrics.counter("dse.pool.a.launched").value
-    b = sched.metrics.counter("dse.pool.b.launched").value
+    a = sched.metrics.counter("exec.pool.a.launched").value
+    b = sched.metrics.counter("exec.pool.b.launched").value
     assert a == b == 2          # round-robin assignment
-    _attempt_identity(sched.metrics)
+    assert_attempts_accounted(sched.metrics)
 
 
 def test_pool_validation():
@@ -91,8 +85,8 @@ def test_sim_error_fails_fast_without_retries(tmp_path):
     assert results == [None]
     assert len(sched.failures) == 1
     assert sched.failures[0].kind == "sim-error"
-    assert sched.metrics.counter("dse.retries").value == 0
-    _attempt_identity(sched.metrics)
+    assert sched.metrics.counter("exec.retries").value == 0
+    assert_attempts_accounted(sched.metrics)
 
 
 def test_failures_raise_without_keep_going(tmp_path):
@@ -128,11 +122,11 @@ def test_chaos_kill_is_retried_and_journal_consistent(tmp_path):
 
     assert [r.to_dict() for r in results] == expected
     metrics = sched.metrics
-    assert metrics.counter("dse.crashes").value > 0
-    assert metrics.counter("dse.retries").value == \
-        metrics.counter("dse.crashes").value
-    assert metrics.counter("dse.quarantined").value == 0
-    _attempt_identity(metrics)
+    assert metrics.counter("exec.crashes").value > 0
+    assert metrics.counter("exec.retries").value == \
+        metrics.counter("exec.crashes").value
+    assert metrics.counter("exec.quarantined").value == 0
+    assert_attempts_accounted(metrics)
 
     records = SweepJournal.records(journal_path)
     kinds = [r["type"] for r in records]
@@ -155,10 +149,10 @@ def test_exhausted_retries_quarantine(tmp_path):
     assert results == [None]
     assert sched.failures[0].kind == "quarantined"
     assert sched.failures[0].attempts == 2
-    assert sched.metrics.counter("dse.quarantined").value == 1
+    assert sched.metrics.counter("exec.quarantined").value == 1
     records = SweepJournal.records(tmp_path / "j.jsonl")
     assert [r["type"] for r in records].count("quarantined") == 1
-    _attempt_identity(sched.metrics)
+    assert_attempts_accounted(sched.metrics)
 
 
 def test_journal_hits_recorded_for_cache_hits(tmp_path):

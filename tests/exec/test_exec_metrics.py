@@ -1,5 +1,14 @@
-"""Executor metric streams and the RunResult metrics round trip."""
+"""Executor metric streams, import cost, and the RunResult metrics round
+trip."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from helpers import assert_attempts_accounted
+
+import repro
 from repro.chip.results import RunResult
 from repro.exec import ParallelRunner, ResultCache, RunSpec
 from repro.workloads.synthetic import SyntheticBarrierWorkload
@@ -18,12 +27,29 @@ def test_runner_publishes_hit_miss_counters(tmp_path):
     counters = runner.metrics.to_dict()["counters"]
     assert counters["exec.cache.hits"] == runner.hits == 1
     assert counters["exec.cache.misses"] == runner.misses == 2
+    assert_attempts_accounted(runner.metrics)
 
 
 def test_uncached_runner_counts_only_misses():
+    """No cache hits are counted, and the in-process attempt is tallied
+    like a worker's."""
     runner = ParallelRunner(jobs=1, cache=None)
     runner.run([spec()])
-    assert runner.metrics.to_dict()["counters"] == {"exec.cache.misses": 1}
+    assert runner.metrics.to_dict()["counters"] == {
+        "exec.cache.misses": 1, "exec.attempts": 1, "exec.ok": 1}
+    assert_attempts_accounted(runner.metrics)
+
+
+def test_importing_the_executor_does_not_import_asyncio():
+    """The dispatcher's asyncio (tens of milliseconds) loads only when a
+    runner first launches a process, not on ``import repro.exec``."""
+    probe = ("import sys, repro.exec, repro.exec.parallel; "
+             "print('asyncio' in sys.modules)")
+    src = str(Path(repro.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 def test_cached_result_has_no_metrics_payload(tmp_path):

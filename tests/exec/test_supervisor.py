@@ -1,8 +1,8 @@
 """Supervised execution: deadlines, retries, quarantine, chaos, SIGINT.
 
-These tests drive the supervisor through its public surface --
+These tests drive the run dispatcher through its public surface --
 ``ParallelRunner(..., timeout=/retries=/keep_going=/journal=/chaos=)`` --
-so they cover the wiring in :mod:`repro.exec.parallel` too.
+so they cover the facade in :mod:`repro.exec.parallel` too.
 """
 
 import multiprocessing
@@ -11,14 +11,17 @@ import signal
 import threading
 
 import pytest
+from helpers import assert_attempts_accounted
 
 from repro.common.errors import SimulationError
 from repro.exec import (ParallelRunner, ResultCache, RunFailureError,
                         RunSpec, SweepJournal, deadline_for)
+from repro.exec.scheduler import SweepScheduler
 from repro.exec.supervisor import (CHAOS_DEFAULT_TIMEOUT_S,
                                    DEADLINE_FLOOR_S, QUARANTINED,
                                    SECONDS_PER_EVENT, SIM_ERROR)
 from repro.faults import ChaosPlan
+from repro.verify.shard import VerifyShardSpec
 from repro.workloads.base import Workload
 from repro.workloads.synthetic import SyntheticBarrierWorkload
 
@@ -47,6 +50,20 @@ class ExplodingWorkload(Workload):
 
 def _exploding_spec():
     return RunSpec.make(ExplodingWorkload(), "gl", num_cores=4)
+
+
+class UnpicklableError(Exception):
+    """Pickles, but cannot be rebuilt from its args on the other side."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+class UnpicklableErrorWorkload(ExplodingWorkload):
+    name = "UnpicklableError"
+
+    def programs(self, chip):
+        raise UnpicklableError(1, 2)
 
 
 #: A plan whose first-attempt kills are known: seed 0 at kill_rate=0.25
@@ -102,6 +119,7 @@ def test_chaos_kills_are_retried_to_success(tmp_path):
     assert counters["exec.crashes"] == 2
     assert counters["exec.retries"] == 2
     assert "exec.quarantined" not in counters
+    assert_attempts_accounted(runner.metrics)
     records = SweepJournal.records(tmp_path / "j.jsonl")
     crashes = [r for r in records if r["type"] == "attempt"
                and r["outcome"] == "crash"]
@@ -122,6 +140,7 @@ def test_poison_spec_is_quarantined_keep_going(tmp_path):
     assert sorted(f.index for f in runner.failures) == [0, 1]
     assert all(f.attempts == 2 for f in runner.failures)  # 1 + 1 retry
     assert runner.metrics.to_dict()["counters"]["exec.quarantined"] == 2
+    assert_attempts_accounted(runner.metrics)
     quarantined = [r for r in
                    SweepJournal.records(tmp_path / "j.jsonl")
                    if r["type"] == "quarantined"]
@@ -151,7 +170,9 @@ def test_partial_results_cached_before_abort(tmp_path):
     specs = _specs(4)
     with pytest.raises(RunFailureError):
         runner.run(specs)
-    assert specs[0].key() in cache
+    # Ordinal 0 completed; the failure of ordinal 1 stopped new launches.
+    assert [spec.key() in cache for spec in specs] == \
+        [True, False, False, False]
     rerun = ParallelRunner(jobs=1, cache=cache)
     rerun.run(specs)
     assert rerun.hits >= 1
@@ -183,6 +204,7 @@ def test_hang_is_killed_at_deadline_and_retried(tmp_path):
     counters = runner.metrics.to_dict()["counters"]
     assert counters["exec.timeouts"] == 1
     assert counters["exec.retries"] == 1
+    assert_attempts_accounted(runner.metrics)
     outcomes = [r["outcome"] for r in
                 SweepJournal.records(tmp_path / "j.jsonl")
                 if r["type"] == "attempt"]
@@ -195,13 +217,14 @@ def test_deadline_for_precedence():
     derived = deadline_for(_spec(max_events=100), None)
     assert derived == DEADLINE_FLOOR_S + 100 * SECONDS_PER_EVENT
     assert deadline_for(_spec(), None) is None
+    # A spec kind without an event budget at all: no derived deadline.
+    assert deadline_for(VerifyShardSpec(rows=2, cols=2), None) is None
 
 
 def test_hang_chaos_defaults_a_timeout():
-    runner = ParallelRunner(jobs=1,
-                            chaos=ChaosPlan(seed=0, hang_rate=0.5))
-    runner._run_supervised([], [])      # force supervisor creation
-    assert runner._supervisor.timeout == CHAOS_DEFAULT_TIMEOUT_S
+    scheduler = SweepScheduler(jobs=1,
+                               chaos=ChaosPlan(seed=0, hang_rate=0.5))
+    assert scheduler.timeout == CHAOS_DEFAULT_TIMEOUT_S
 
 
 # ---------------------------------------------------------------------- #
@@ -223,12 +246,29 @@ def test_sim_error_fails_fast_without_retry(tmp_path):
     counters = runner.metrics.to_dict()["counters"]
     assert counters["exec.sim_errors"] == 1
     assert "exec.retries" not in counters
+    assert_attempts_accounted(runner.metrics)
 
 
 def test_unsupervised_sim_error_keeps_original_exception_type():
     runner = ParallelRunner(jobs=1, cache=None)
     with pytest.raises(SimulationError, match="boom"):
         runner.run([_exploding_spec()])
+    assert_attempts_accounted(runner.metrics)
+
+
+def test_unsupervised_parallel_sim_error_keeps_original_exception_type():
+    """``--jobs 2`` fails the way ``--jobs 1`` does: the worker ships the
+    exception object and the runner re-raises it."""
+    runner = ParallelRunner(jobs=2, cache=None)
+    with pytest.raises(SimulationError, match="boom"):
+        runner.run([_exploding_spec(), _spec(iterations=1)])
+
+
+def test_sim_error_that_cannot_cross_the_pipe_still_fails_cleanly():
+    runner = ParallelRunner(jobs=2, cache=None)
+    spec = RunSpec.make(UnpicklableErrorWorkload(), "gl", num_cores=4)
+    with pytest.raises(RunFailureError, match="UnpicklableError: 1/2"):
+        runner.run([spec, _spec(iterations=1)])
 
 
 # ---------------------------------------------------------------------- #

@@ -61,3 +61,12 @@ class MemHarness:
         home = self.chip.amap.home_of(addr)
         line = self.chip.amap.line_of(addr)
         return self.chip.tiles[home].home.dir_state(line)
+
+
+def assert_attempts_accounted(metrics) -> None:
+    """Every finished attempt has exactly one outcome: ``exec.attempts ==
+    exec.ok + exec.crashes + exec.timeouts + exec.sim_errors``."""
+    counters = metrics.to_dict()["counters"]
+    outcomes = sum(counters.get(f"exec.{k}", 0)
+                   for k in ("ok", "crashes", "timeouts", "sim_errors"))
+    assert counters.get("exec.attempts", 0) == outcomes, counters
