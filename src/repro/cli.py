@@ -888,16 +888,14 @@ def _run_verify(args) -> int:
     print(v.render_report(model, result))
 
     replay = None
-    conc_path = None
     if result.violation is not None:
         print()
         print(v.render_counterexample(model, result.violation))
         if not args.no_replay:
-            conc_path = v.concretize(model,
-                                     result.violation.action_indices)
+            schedules, glitches = result.violation.schedule(model)
             replay = v.replay_on_simulator(
-                rows, cols, conc_path.schedules, scenario=scenario,
-                mutation=args.mutation, glitches=conc_path.glitches)
+                rows, cols, schedules, scenario=scenario,
+                mutation=args.mutation, glitches=glitches)
             print(f"simulator replay: {replay.summary()}")
             if args.export_prefix is not None:
                 paths = v.export_counterexample(
@@ -910,7 +908,7 @@ def _run_verify(args) -> int:
 
     if args.out is not None:
         args.out.write_text(json.dumps(
-            v.report_dict(model, result, path=conc_path, replay=replay),
+            v.report_dict(model, result, replay=replay),
             indent=2, sort_keys=True) + "\n")
         print(f"[repro.verify] report written: {args.out}",
               file=sys.stderr)

@@ -22,6 +22,8 @@ master/slave flag hand-off used during the release stage.
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from .gline import GLine
 
 
@@ -101,9 +103,9 @@ class MasterH:
         #: Set by the vertical controller hand-off (or by own flag when the
         #: mesh has a single row): release the row next cycle.
         self.release_trigger = False
-        #: Hook installed by the network wiring: called when this master
+        #: Hook installed by the fabric wiring: called when this master
         #: performs its release, so co-located vertical state can reset.
-        self.on_release = None
+        self.on_release: Callable[[], None] | None = None
         #: Hardened mode (repro.faults): keep sampling after ``flag`` so a
         #: faulty wire that keeps counting is caught as an overshoot.
         self.hardened = False
@@ -213,7 +215,7 @@ class MasterV:
         #: Hierarchical extension hook: when set, reaching ``done`` reports
         #: upward instead of starting the release; the release begins when
         #: ``gate_open`` is switched on by the upper level.
-        self.gate = None
+        self.gate: Any = None
         #: Hardened mode (repro.faults): one extra count-stability cycle
         #: before committing to the chip-wide release, plus overshoot
         #: detection -- a stuck-at-1 SglineV keeps counting and is caught

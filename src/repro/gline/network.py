@@ -1,10 +1,9 @@
-"""The G-line barrier network: wiring, clocking and the arrival interface.
+"""The G-line barrier network: clocking, fault handling and arrivals.
 
-Wiring for an R x C mesh (Figure 1): every row gets a TX G-line (slaves ->
-master) and a release G-line (master -> slaves); the first column gets a
-vertical TX/release pair.  Total wires: ``2*rows + 2`` (the paper's
-``2 * (sqrt(N) + 1)`` for square meshes), degenerating gracefully for
-single-row or single-column meshes.
+The protocol itself -- wires, bar_regs and the four Figure-4 controllers
+-- lives in the engine-free :class:`~repro.gline.fabric.BarrierFabric`;
+this component adds what needs the engine: bar_reg write latency, clock
+gating, the watchdog with retry/failover, recovery, and observability.
 
 The network is clocked **only while a barrier is in flight** (the paper
 switches controllers on at bar_reg writes and off after the release, to
@@ -13,8 +12,9 @@ sample phase, modelling the 1-cycle G-line propagation.
 
 Ideal latency: with all cores arrived, the release reaches every core 4
 cycles later (gather-row, gather-column, release-column, release-row) --
-asserted by the test-suite for the paper's 2x2 walkthrough and verified for
-arbitrary meshes and arrival orders by property tests.
+asserted by the test-suite for the paper's 2x2 walkthrough and proved over
+every arrival order on meshes up to 4x4 by ``repro verify``, which runs
+the same fabric.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from ..faults import FAILOVER
 from ..obs import events as obs_ev
 from ..sim.component import Component
 from ..sim.engine import Engine
-from .controllers import BarRegFile, MasterH, MasterV, SlaveH, SlaveV
+from .fabric import BarrierFabric, ReleaseGate
 from .gline import GLine
 from .recovery import RecoveryController
 
@@ -41,28 +41,6 @@ TICK_PRIORITY = 10
 #: long run; like the PR 3 ListTracer fix, the reports keep the most
 #: recent window and count what they drop.
 FAILOVER_REPORT_CAP = 64
-
-
-class ReleaseGate:
-    """Decouples gather-complete from release-start (hierarchical mode).
-
-    When installed on a network, reaching the all-arrived state reports
-    upward via *on_gathered* instead of starting the release; the upper
-    level later opens the gate to let the release proceed.  The report is
-    idempotent per episode (``reported``) so a watchdog-retried gather
-    does not double-arrive at the upper level.
-    """
-
-    def __init__(self, on_gathered):
-        self.is_open = False
-        self.reported = False
-        self._on_gathered = on_gathered
-
-    def on_gathered(self) -> None:
-        if self.reported:
-            return
-        self.reported = True
-        self._on_gathered()
 
 
 class GLineBarrierNetwork(Component):
@@ -91,8 +69,15 @@ class GLineBarrierNetwork(Component):
         self.num_cores = rows * cols
         self._local_of = {cid: i for i, cid in enumerate(self.core_ids)}
 
-        self.bar_regs = BarRegFile(self.num_cores)
-        self._build()
+        #: The engine-free protocol core: wires, bar_regs and the four
+        #: Figure-4 controllers; :meth:`_tick` clocks it.
+        self.fabric = BarrierFabric(
+            rows, cols, self.config.max_transmitters, name=name,
+            hardened=self.config.watchdog_budget > 0)
+        self.fabric.on_spurious = self._count_spurious
+        #: Resume callback of each waiting local (the fabric's bar_regs
+        #: carry the local index as their release token).
+        self._resumes: list = [None] * self.num_cores
 
         self.active = False
         self.active_cycles = 0
@@ -108,16 +93,14 @@ class GLineBarrierNetwork(Component):
         self._arrived = 0
         #: Optional external completion hook (hierarchical extension).
         self.on_all_released = None
-        #: Optional release gate (hierarchical extension).
-        self._gate: ReleaseGate | None = None
 
         # ---- watchdog / fault-handling state (repro.faults) ---------- #
         #: Hardened mode: watchdog + spurious-release guard + overshoot
         #: detection.  Off by default, so a plain network schedules the
         #: exact same events it always did.
-        self.hardened = self.config.watchdog_budget > 0
+        self.hardened = self.fabric.hardened
         #: Set by CMP when a FaultPlan is enabled; perturbs the wires once
-        #: per clocked cycle.
+        #: per clocked cycle (see the ``injector`` property).
         self.injector = None
         #: Where ``faults.*`` counters go.  Defaults to the local stats
         #: sink; the hierarchical wrapper re-points cluster networks at
@@ -144,70 +127,26 @@ class GLineBarrierNetwork(Component):
             RecoveryController(self) if self.config.recovery_enabled
             else None)
         self._episode_retries = 0
-        self._spurious_release = False
-        self._row_validated = False
-        for mh in self.masters_h:
-            mh.hardened = self.hardened
-        if self.master_v is not None:
-            self.master_v.hardened = self.hardened
-
-    # ------------------------------------------------------------------ #
-    def _build(self) -> None:
-        mt = self.config.max_transmitters
-        self.lines: list[GLine] = []
-        self.row_tx: list[GLine | None] = []
-        self.row_rel: list[GLine | None] = []
-        for r in range(self.rows):
-            if self.cols > 1:
-                tx = GLine(f"{self.name}.SglineH{r}", mt)
-                rel = GLine(f"{self.name}.MglineH{r}", mt)
-                self.lines += [tx, rel]
-            else:
-                tx = rel = None
-            self.row_tx.append(tx)
-            self.row_rel.append(rel)
-        if self.rows > 1:
-            self.col_tx = GLine(f"{self.name}.SglineV", mt)
-            self.col_rel = GLine(f"{self.name}.MglineV", mt)
-            self.lines += [self.col_tx, self.col_rel]
-        else:
-            self.col_tx = self.col_rel = None
-
-        self.masters_h: list[MasterH] = []
-        self.slaves_h: list[SlaveH] = []
-        self.slaves_v: list[SlaveV] = []
-        for r in range(self.rows):
-            mh = MasterH(core_id=r * self.cols, row=r, rx=self.row_tx[r],
-                         tx=self.row_rel[r], num_slaves=self.cols - 1)
-            self.masters_h.append(mh)
-            for c in range(1, self.cols):
-                self.slaves_h.append(SlaveH(core_id=r * self.cols + c,
-                                            tx=self.row_tx[r],
-                                            rx=self.row_rel[r]))
-        if self.rows > 1:
-            for r in range(1, self.rows):
-                sv = SlaveV(core_id=r * self.cols, row=r, tx=self.col_tx,
-                            rx=self.col_rel, master_h=self.masters_h[r])
-                self.slaves_v.append(sv)
-                self.masters_h[r].on_release = sv.reset
-            self.master_v = MasterV(core_id=0, rx=self.col_tx,
-                                    tx=self.col_rel,
-                                    master_h0=self.masters_h[0],
-                                    num_slaves=self.rows - 1)
-            self.masters_h[0].on_release = self._reset_master_v
-        else:
-            self.master_v = None
-
-    def _reset_master_v(self) -> None:
-        self.master_v.scnt = 0
-        self.master_v.mcnt = 0
-        self.master_v.done = False
 
     # ------------------------------------------------------------------ #
     @property
+    def lines(self) -> list[GLine]:
+        return self.fabric.lines
+
+    @property
     def num_glines(self) -> int:
         """Physical wire count -- 2*(rows+1) on a full 2D mesh."""
-        return len(self.lines)
+        return len(self.fabric.lines)
+
+    @property
+    def injector(self):
+        return self._injector
+
+    @injector.setter
+    def injector(self, injector) -> None:
+        self._injector = injector
+        self.fabric.perturb_hook = (self._perturb if injector is not None
+                                    else None)
 
     # ------------------------------------------------------------------ #
     # Arrival interface (called by the core / barrier library)
@@ -226,11 +165,12 @@ class GLineBarrierNetwork(Component):
                 self.schedule(0, resume, FAILOVER)
             return
         local = self._local_of[core_id]
-        if self.bar_regs.is_set(local):
+        if self.fabric.bar_regs.is_set(local):
             raise CapacityError(
                 f"core {core_id} re-arrived at barrier {self.name} before "
                 f"release (only one outstanding barrier per context)")
-        self.bar_regs.write(local, resume)
+        self._resumes[local] = resume
+        self.fabric.arrive_local(local)
         if self._first_arrival is None:
             self._first_arrival = self.now
             if self.hardened and self.config.watchdog_episode_budget:
@@ -261,75 +201,17 @@ class GLineBarrierNetwork(Component):
     # ------------------------------------------------------------------ #
     def _tick(self) -> None:
         self.active_cycles += 1
-        released: list = []
-
-        # Assert phase: drive G-lines from start-of-cycle state.  MasterV
-        # runs last so the release trigger it hands to the co-located row-0
-        # MasterH is consumed in the *next* cycle, matching the one-cycle
-        # hand-off of the SlaveV path (release-column then release-row,
-        # Figure 2 cycles 2 and 3).
-        for mh in self.masters_h:
-            mh.assert_phase(self.bar_regs, released)
-        for sh in self.slaves_h:
-            sh.assert_phase(self.bar_regs)
-        for sv in self.slaves_v:
-            sv.assert_phase()
-        if self.master_v is not None:
-            self.master_v.assert_phase()
-
-        # Wire faults land between the assert and sample sub-phases: the
-        # drivers committed their levels, the fault corrupts what the
-        # receivers will see.
-        if self.injector is not None:
-            self.injector.perturb_glines(self.lines, now=self.now)
-        if self.hardened:
-            self._guard_release_lines()
-
-        # Sample phase: observe lines at end of cycle, update registers.
-        # MasterV samples first so the co-located MasterH flag it reads is
-        # the one latched at the *end of the previous cycle* -- the
-        # intra-core register hand-off costs a cycle boundary, exactly as
-        # in the paper's Figure 2 (Mv sets Mcnt in cycle 1 from the flag
-        # MasterH set in cycle 0).
-        if self.master_v is not None:
-            self.master_v.sample_phase()
-        for mh in self.masters_h:
-            mh.sample_phase(self.bar_regs)
-        for sv in self.slaves_v:
-            sv.sample_phase()
-        for sh in self.slaves_h:
-            sh.sample_phase(self.bar_regs, released)
-        fault = self.hardened and self._fault_detected()
-        if not fault and self.rows == 1 and self.masters_h[0].flag \
-                and not self.masters_h[0].release_trigger:
-            # Degenerate single-row mesh: the horizontal master releases
-            # directly (no vertical stage) -- unless gated by an upper
-            # hierarchy level.  Hardened networks hold the release one
-            # extra cycle (count-stability validation, mirroring MasterV).
-            if self._gate is None or self._gate.is_open:
-                if self.hardened and not self._row_validated:
-                    self._row_validated = True
-                else:
-                    self.masters_h[0].release_trigger = True
-            else:
-                self._gate.on_gathered()
-
-        tracing = self.tracer.enabled
-        for line in self.lines:
-            if tracing:
-                # Post-guard levels: what the receivers actually sampled.
-                self.tracer.emit(self.now, line.name, obs_ev.GL_WIRE,
-                                 level=int(line.sampled_on()),
-                                 count=line.sample_count())
-            self.stats.gline_toggles += len(line._asserting)
-            line.end_cycle()
-        if tracing:
+        fabric = self.fabric
+        released = fabric.tick()
+        self.stats.gline_toggles += fabric.toggles
+        if self.tracer.enabled:
             self.tracer.emit(
                 self.now, self.name, obs_ev.GL_FSM,
-                flags=[mh.flag for mh in self.masters_h],
-                scnt=[mh.scnt for mh in self.masters_h],
-                vscnt=self.master_v.scnt if self.master_v else None,
+                flags=[mh.flag for mh in fabric.masters_h],
+                scnt=[mh.scnt for mh in fabric.masters_h],
+                vscnt=fabric.master_v.scnt if fabric.master_v else None,
                 arrived=self._arrived)
+        fault = self.hardened and fabric.collect_fault()
 
         if released:
             self._complete_release(released)
@@ -338,7 +220,7 @@ class GLineBarrierNetwork(Component):
             self._handle_fault()
             return
 
-        if self._will_act():
+        if fabric.will_act():
             self.schedule(self.config.line_latency, self._tick,
                           priority=TICK_PRIORITY)
         else:
@@ -347,6 +229,27 @@ class GLineBarrierNetwork(Component):
             # This both models the paper's controller power-gating and
             # keeps long straggler waits event-free.
             self.active = False
+
+    def _perturb(self, lines: list[GLine]) -> None:
+        self._injector.perturb_glines(lines, now=self.now)
+
+    def _trace_wires(self, lines: list[GLine]) -> None:
+        for line in lines:
+            # Post-guard levels: what the receivers actually sampled.
+            self.tracer.emit(self.now, line.name, obs_ev.GL_WIRE,
+                             level=int(line.sampled_on()),
+                             count=line.sample_count())
+
+    def _count_spurious(self) -> None:
+        self.fault_stats.bump("faults.gline.spurious_releases")
+
+    def _take_resumes(self, locals_: list[int]) -> list:
+        """Pop the resume callbacks of the released *locals_*."""
+        resumes = self._resumes
+        out = [resumes[local] for local in locals_]
+        for local in locals_:
+            resumes[local] = None
+        return out
 
     def _complete_release(self, released: list) -> None:
         if self.hardened and len(released) != self._arrived:
@@ -369,7 +272,7 @@ class GLineBarrierNetwork(Component):
             return
         # Cores resume at the end of the release cycle.
         release_time = self.now + 1
-        for resume in released:
+        for resume in self._take_resumes(released):
             if resume is not None:
                 self.engine.schedule_at(release_time, resume)
         self._arrived -= len(released)
@@ -380,7 +283,6 @@ class GLineBarrierNetwork(Component):
         if self._arrived == 0:
             self.barriers_completed += 1
             self._episode_retries = 0
-            self._row_validated = False
             self.stats.bump("gline.barriers")
             self.samples.append(BarrierSample(
                 barrier_id=self.barriers_completed,
@@ -401,9 +303,10 @@ class GLineBarrierNetwork(Component):
                 self.metrics.counter("gline.episodes").inc()
             self._first_arrival = None
             self._last_arrival = None
-            if self._gate is not None:
-                self._gate.is_open = False
-                self._gate.reported = False
+            gate = self.fabric.gate
+            if gate is not None:
+                gate.is_open = False
+                gate.reported = False
             if self.recovery is not None:
                 self.recovery.on_episode_complete()
             if self.on_all_released is not None:
@@ -417,72 +320,15 @@ class GLineBarrierNetwork(Component):
         waiting) cannot double-bounce them -- every core of the episode
         ends up in the same software cohort exactly once."""
         release_time = self.now + 1
-        for resume in released:
+        for resume in self._take_resumes(released):
             if resume is not None:
                 self.engine.schedule_at(release_time, resume, FAILOVER)
         self._arrived -= len(released)
         self.failover(reason=reason)
 
-    def _will_act(self) -> bool:
-        """True if any controller will drive a line or change registers next
-        cycle without a further bar_reg write."""
-        bar_regs = self.bar_regs
-        for mh in self.masters_h:
-            if mh.will_act(bar_regs):
-                return True
-        for sh in self.slaves_h:
-            if sh.will_act(bar_regs):
-                return True
-        for sv in self.slaves_v:
-            if sv.will_act():
-                return True
-        if self.master_v is not None and self.master_v.will_act():
-            return True
-        if (self.hardened and self.rows == 1 and self.masters_h[0].flag
-                and not self.masters_h[0].release_trigger
-                and (self._gate is None or self._gate.is_open)):
-            # Single-row validation cycle pending: keep the clock running.
-            return True
-        return False
-
     # ------------------------------------------------------------------ #
     # Watchdog, retry and failover (repro.faults hardening)
     # ------------------------------------------------------------------ #
-    def _guard_release_lines(self) -> None:
-        """Mask release-line levels that no master drove this cycle.
-
-        A release line has exactly one legitimate transmitter, so a level
-        the master did not drive is wire damage about to release cores
-        early -- permanently skewing barrier episodes.  The guard forces
-        the apparent level low before the slaves sample it and flags the
-        episode for the fault handler."""
-        spurious = False
-        for r, rel in enumerate(self.row_rel):
-            if rel is not None and rel.sampled_on() \
-                    and not self.masters_h[r].drove_release:
-                rel.glitch_force = 0
-                spurious = True
-        if self.col_rel is not None and self.col_rel.sampled_on() \
-                and not (self.master_v is not None
-                         and self.master_v.drove_release):
-            self.col_rel.glitch_force = 0
-            spurious = True
-        if spurious:
-            self._spurious_release = True
-            self.fault_stats.bump("faults.gline.spurious_releases")
-
-    def _fault_detected(self) -> bool:
-        """Collect (and clear) this cycle's fault suspicions."""
-        found = self._spurious_release
-        self._spurious_release = False
-        for mh in self.masters_h:
-            found |= mh.fault_suspected
-            mh.fault_suspected = False
-        if self.master_v is not None:
-            found |= self.master_v.fault_suspected
-            self.master_v.fault_suspected = False
-        return found
-
     def _arm_watchdog(self, budget: int, episode_level: bool) -> None:
         # The token pins the timer to this exact (episode, retry) attempt;
         # completion, a retry or a failover each invalidate it, so stale
@@ -497,8 +343,9 @@ class GLineBarrierNetwork(Component):
             return
         if self._arrived == 0 or self.quarantined:
             return
-        if not episode_level and self._gate is not None \
-                and self._gate.reported and not self._gate.is_open:
+        gate = self.fabric.gate
+        if not episode_level and gate is not None \
+                and gate.reported and not gate.is_open:
             # Local gather is complete, validated and reported upward;
             # the episode is parked on the upper hierarchy level, whose
             # own watchdog owns that wait (a degraded sibling segment may
@@ -539,7 +386,7 @@ class GLineBarrierNetwork(Component):
                     self.flight.record(cid, self.now, self.name,
                                        obs_ev.GL_WATCHDOG_RETRY,
                                        attempt=self._episode_retries)
-            self._reset_fsm()
+            self.fabric.reset_fsm()
             # bar_regs are still set, so the slaves immediately re-signal;
             # a transient fault heals, a permanent one re-trips the
             # watchdog until the retry budget runs out.
@@ -551,28 +398,6 @@ class GLineBarrierNetwork(Component):
                                    episode_level=False)
         else:
             self.failover()
-
-    def _reset_fsm(self) -> None:
-        """Return every controller to its gather-start state (bar_regs and
-        permanent wire damage are preserved)."""
-        for mh in self.masters_h:
-            mh.scnt = 0
-            mh.mcnt = 0
-            mh.flag = False
-            mh.release_trigger = False
-            mh.fault_suspected = False
-        for sh in self.slaves_h:
-            sh.signaling = True
-        for sv in self.slaves_v:
-            sv.sent = False
-        if self.master_v is not None:
-            self._reset_master_v()
-            self.master_v.validating = False
-            self.master_v.fault_suspected = False
-        self._row_validated = False
-        self._spurious_release = False
-        for line in self.lines:
-            line.end_cycle()
 
     def failover(self, reason: str = "watchdog") -> None:
         """Give up on this network: quarantine it and bounce every waiting
@@ -612,29 +437,28 @@ class GLineBarrierNetwork(Component):
             self.failover_reports_dropped += 1
             self.fault_stats.bump("faults.watchdog.reports_dropped")
         self.failover_reports.append(report)
-        self._reset_fsm()
-        resumes = [self.bar_regs.clear(local)
-                   for local in range(self.num_cores)
-                   if self.bar_regs.is_set(local)]
+        self.fabric.reset_fsm()
         release_time = self.now + 1
-        for resume in resumes:
+        for resume in self._take_resumes(self.fabric.drain()):
             if resume is not None:
                 self.engine.schedule_at(release_time, resume, FAILOVER)
         self._arrived = 0
         self._first_arrival = None
         self._last_arrival = None
         self._episode_retries = 0
-        if self._gate is not None:
-            self._gate.is_open = False
-            self._gate.reported = False
+        gate = self.fabric.gate
+        if gate is not None:
+            gate.is_open = False
+            gate.reported = False
         self.active = False
         if self.recovery is not None:
             self.recovery.on_failover()
 
     def _waiting_core_ids(self) -> list[int]:
         """Chip-level ids of cores currently holding a set bar_reg."""
+        bar_regs = self.fabric.bar_regs
         return [self.core_ids[local] for local in range(self.num_cores)
-                if self.bar_regs.is_set(local)]
+                if bar_regs.is_set(local)]
 
     # ------------------------------------------------------------------ #
     def set_injector(self, injector) -> None:
@@ -654,6 +478,8 @@ class GLineBarrierNetwork(Component):
         self.tracer = obs.tracer
         self.metrics = obs.metrics
         self.flight = obs.flight
+        self.fabric.wire_probe = (self._trace_wires if obs.tracer.enabled
+                                  else None)
 
     # ------------------------------------------------------------------ #
     # Hierarchical-mode gating
@@ -663,31 +489,27 @@ class GLineBarrierNetwork(Component):
 
         *on_gathered* fires once per episode when all local cores have
         arrived; call :meth:`open_gate` to start the release."""
-        self._gate = ReleaseGate(on_gathered)
-        if self.master_v is not None:
-            self.master_v.gate = self._gate
-        return self._gate
+        gate = ReleaseGate(on_gathered)
+        self.fabric.set_gate(gate)
+        return gate
 
     def open_gate(self) -> None:
         """Upper level grants the release; resume clocking if dormant."""
-        if self._gate is None:
+        fabric = self.fabric
+        if fabric.gate is None:
             return
-        self._gate.is_open = True
-        if self.rows == 1 and self.masters_h[0].flag:
-            self.masters_h[0].release_trigger = True
+        fabric.gate.is_open = True
+        if self.rows == 1 and fabric.masters_h[0].flag:
+            fabric.masters_h[0].release_trigger = True
         if self.hardened and self._arrived == self.num_cores:
             # Fresh budget for the release pipeline: the gate-parked wait
             # (upper-level coordination) is excluded from the watchdog.
             self._arm_watchdog(self.config.watchdog_budget,
                                episode_level=False)
-        if not self.active and self._will_act():
+        if not self.active and fabric.will_act():
             self.active = True
             self.schedule(0, self._tick, priority=TICK_PRIORITY)
 
     def fully_idle(self) -> bool:
         """All controllers in their initial state and no bar_reg set."""
-        return (not any(self.bar_regs.values)
-                and all(mh.idle for mh in self.masters_h)
-                and all(sh.idle for sh in self.slaves_h)
-                and all(sv.idle for sv in self.slaves_v)
-                and (self.master_v is None or self.master_v.idle))
+        return self.fabric.idle

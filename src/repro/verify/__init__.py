@@ -1,11 +1,12 @@
 """Explicit-state model checking for the G-line barrier protocol.
 
-``repro.verify`` reduces the G-line barrier -- the per-row Master/Slave
-FSMs of :mod:`repro.gline.controllers`, the S-CSMA wire semantics of
-:mod:`repro.gline.gline` and the watchdog/failover hardening of
-:mod:`repro.faults` -- to a compact, hashable transition system
-(:class:`GLBarrierModel`) and exhaustively enumerates every reachable
-state under every arrival interleaving (:func:`explore`), with symmetry
+``repro.verify`` turns the G-line barrier into a transition system
+(:class:`GLBarrierModel`) over the production engine-free
+:class:`~repro.gline.fabric.BarrierFabric` -- the Figure-4 controllers
+and S-CSMA wires the simulator clocks -- plus a hand-written
+environment, a tick-granularity fold of the watchdog/failover/recovery
+timers, and the property checks.  :func:`explore` enumerates every
+reachable state under every arrival interleaving, with symmetry
 reduction over interchangeable cores.  Four properties are checked:
 
 * **safety** -- no core is released before all cores of its episode
@@ -22,10 +23,11 @@ proves the hardened network *stays safe* by absorbing the fault through
 watchdog retry/failover -- or, for unhardened demos and deliberate FSM
 :class:`Mutation`\\ s, produces a minimal counterexample.
 
-The conformance bridge closes the loop with the reference simulator:
-:func:`concretize` + :func:`replay_on_simulator` drive a real
-:class:`~repro.gline.network.GLineBarrierNetwork` with a counterexample
-schedule and confirm the violation in "hardware" (then export it as a
+The conformance bridge closes the loop with the reference simulator: a
+counterexample path is already a concrete schedule
+(:meth:`Counterexample.schedule`), and :func:`replay_on_simulator`
+drives a real :class:`~repro.gline.network.GLineBarrierNetwork` with it
+to confirm the violation in "hardware" (then export it as a
 Perfetto/VCD artifact via :func:`export_counterexample`), while
 :func:`lift_trace` replays a recorded observability stream through the
 model and checks refinement cycle-by-cycle.
@@ -41,9 +43,8 @@ from .collectives import (COLLECTIVE_PROPERTIES, CollectiveCounterexample,
                           CollectiveReplayResult, P_COLL_TERMINATION,
                           P_COLL_ONCE, P_COLL_VALUE, explore_collective,
                           replay_collective)
-from .conformance import (ConcretePath, LiftResult, ReplayResult,
-                          concretize, export_counterexample, lift_perfetto,
-                          lift_trace, replay_on_simulator)
+from .conformance import (LiftResult, ReplayResult, export_counterexample,
+                          lift_perfetto, lift_trace, replay_on_simulator)
 from .explore import (ALL_PROPERTIES, NOT_PROVED, PROVED, SKIPPED,
                       VIOLATED, Counterexample, ExploreResult, explore,
                       replay_actions)
@@ -68,9 +69,9 @@ __all__ = [
     "SCENARIOS", "MUTATIONS", "FAULT_FREE",
     "EXPECT_PASS", "EXPECT_FAILOVER", "EXPECT_VIOLATION",
     "get_scenario", "get_mutation",
-    "concretize", "replay_on_simulator", "export_counterexample",
+    "replay_on_simulator", "export_counterexample",
     "lift_trace", "lift_perfetto",
-    "ConcretePath", "ReplayResult", "LiftResult",
+    "ReplayResult", "LiftResult",
     "VerifyShardSpec", "VerifyShardResult", "shard_prefixes",
     "merge_shards",
     "render_report", "render_counterexample", "report_dict",

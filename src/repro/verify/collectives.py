@@ -1,9 +1,10 @@
 """Explicit-state checking of the G-line collective fabric.
 
-Unlike the barrier checker, which re-derives the controller FSMs as an
-abstract transition system, the collective checker drives the **real**
-:class:`~repro.collectives.fabric.CollectiveFabric` -- the engine-free
-protocol core -- through its ``snapshot``/``restore`` interface.  There
+Like the barrier checker (which drives the real
+:class:`~repro.gline.fabric.BarrierFabric`), the collective checker
+drives the **real** :class:`~repro.collectives.fabric.CollectiveFabric`
+-- the engine-free protocol core -- through its ``snapshot``/``restore``
+interface.  There
 is no second implementation to diverge: every transition the checker
 explores is computed by the production controllers themselves, and the
 model layer only adds the things the fabric doesn't know about

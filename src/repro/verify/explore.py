@@ -1,8 +1,9 @@
 """Explicit-state exploration of the barrier transition system.
 
-:func:`explore` runs a breadth-first search over canonical states,
-checking the transition-level properties (safety, exactly-once, the
-4-cycle completion bound) as edges are generated and then proving
+:func:`explore` runs a breadth-first search over the model's states,
+deduplicated by their canonical (symmetry-reduced) key, checking the
+transition-level properties (safety, exactly-once, the 4-cycle
+completion bound) as edges are generated and then proving
 deadlock/livelock freedom with a progress pass over the closed state
 graph.  Everything is deterministic -- action enumeration order, BFS
 order, state counts -- so golden state-space sizes can be pinned in CI
@@ -11,17 +12,19 @@ and shard results merge reproducibly.
 A counterexample is stored as the list of *action indices* along the
 path from the initial state (index ``i`` selects
 ``model.actions(state)[i]``); :func:`replay_actions` turns it back into
-concrete states, and :mod:`repro.verify.conformance` into a real
-simulator schedule.
+states and actions -- each action's arriving cores
+(``model.arrivals``) are already a concrete schedule, which
+:mod:`repro.verify.conformance` replays on the real simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from .model import (GLBarrierModel, P_DEADLOCK, P_EXACTLY_ONCE, P_FLAP,
-                    P_FOUR_CYCLE, P_RECOVERY, P_SAFETY, PropertyViolation)
+from .model import (P_DEADLOCK, P_EXACTLY_ONCE, P_FLAP, P_FOUR_CYCLE,
+                    P_RECOVERY, P_SAFETY, Action, GLBarrierModel,
+                    PropertyViolation, State)
 
 #: Property result labels.
 PROVED = "proved"
@@ -54,6 +57,15 @@ class Counterexample:
                    message=str(data["message"]),
                    action_indices=[int(i) for i in raw])
 
+    def schedule(self, model: GLBarrierModel
+                 ) -> Tuple[List[List[int]], List[int]]:
+        """The path as a concrete schedule, read off
+        :func:`replay_actions`: the cores arriving at each step
+        (``row * cols + col``) and the steps that fire the glitch."""
+        states, actions, _ = replay_actions(model, self.action_indices)
+        return ([model.arrivals(s, a) for s, a in zip(states, actions)],
+                [i for i, a in enumerate(actions) if model.glitched(a)])
+
 
 @dataclass
 class ExploreResult:
@@ -74,8 +86,8 @@ class ExploreResult:
 
 
 def replay_actions(model: GLBarrierModel, action_indices: List[int],
-                   root: Optional[bytes] = None
-                   ) -> Tuple[List[bytes], List[object],
+                   root: Optional[State] = None
+                   ) -> Tuple[List[State], List[Action],
                               Optional[PropertyViolation]]:
     """Re-walk a path of action indices from *root*.
 
@@ -83,8 +95,8 @@ def replay_actions(model: GLBarrierModel, action_indices: List[int],
     *before* ``actions[i]``; a violation raised by the final step is
     captured and returned rather than raised."""
     state = model.initial() if root is None else root
-    states: List[bytes] = []
-    actions: List[object] = []
+    states: List[State] = []
+    actions: List[Action] = []
     for n, idx in enumerate(action_indices):
         acts = model.actions(state)
         if not 0 <= idx < len(acts):
@@ -113,16 +125,17 @@ def _path_to(parents: List[Tuple[int, int]], sid: int) -> List[int]:
 
 
 def explore(model: GLBarrierModel, *, max_states: int = 2_000_000,
-            root: Optional[bytes] = None) -> ExploreResult:
-    """Exhaustively enumerate the reachable canonical state space.
+            root: Optional[State] = None) -> ExploreResult:
+    """Exhaustively enumerate the reachable state space up to symmetry.
 
-    Stops at the first property violation (returning its counterexample)
-    or when *max_states* distinct states have been generated (returning
-    ``capped=True`` -- all universal properties then downgrade to
-    ``not-proved``)."""
+    States are stored as reached (un-permuted) and deduplicated by
+    ``model.key``.  Stops at the first property violation (returning its
+    counterexample) or when *max_states* distinct states have been
+    generated (returning ``capped=True`` -- all universal properties
+    then downgrade to ``not-proved``)."""
     init = model.initial() if root is None else root
-    states: List[bytes] = [init]
-    index: Dict[bytes, int] = {init: 0}
+    states: List[State] = [init]
+    index: Dict[Any, int] = {model.key(init): 0}
     parents: List[Tuple[int, int]] = [(-1, -1)]
     transitions = 0
     capped = False
@@ -133,6 +146,7 @@ def explore(model: GLBarrierModel, *, max_states: int = 2_000_000,
         sid = head
         head += 1
         state = states[sid]
+        skey = model.key(state)
         acts = model.actions(state)
         for ai, act in enumerate(acts):
             try:
@@ -142,14 +156,15 @@ def explore(model: GLBarrierModel, *, max_states: int = 2_000_000,
                     prop=exc.prop, message=exc.message,
                     action_indices=_path_to(parents, sid) + [ai])
                 break
-            if nxt == state:
+            nkey = model.key(nxt)
+            if nkey == skey:
                 continue  # pure stutter; dormancy adds no new behavior
             transitions += 1
-            if nxt not in index:
+            if nkey not in index:
                 if len(states) >= max_states:
                     capped = True
                     continue
-                index[nxt] = len(states)
+                index[nkey] = len(states)
                 states.append(nxt)
                 parents.append((sid, ai))
 
@@ -163,8 +178,8 @@ def explore(model: GLBarrierModel, *, max_states: int = 2_000_000,
         max_completion_ticks=model.max_completion_ticks)
 
 
-def _progress_pass(model: GLBarrierModel, states: List[bytes],
-                   index: Dict[bytes, int],
+def _progress_pass(model: GLBarrierModel, states: List[State],
+                   index: Dict[Any, int],
                    parents: List[Tuple[int, int]]
                    ) -> Optional[Counterexample]:
     """Deadlock/livelock freedom: from *every* reachable state, the
@@ -202,14 +217,15 @@ def _progress_pass(model: GLBarrierModel, states: List[bytes],
             pos[cur] = len(chain)
             chain.append(cur)
             nxt = model.step(states[cur], model.max_action(states[cur]))
-            if nxt == states[cur]:
+            nkey = model.key(nxt)
+            if nkey == model.key(states[cur]):
                 prefix = _path_to(parents, start)
                 return Counterexample(
                     prop=P_DEADLOCK,
                     message="state can make no further progress yet "
                             "episodes remain incomplete",
                     action_indices=prefix)
-            cur = index[nxt]
+            cur = index[nkey]
         for c in chain:
             good[c] = 1
     return None

@@ -1,92 +1,68 @@
-"""Model extraction: the G-line barrier as a finite transition system.
+"""The G-line barrier as a transition system over the real fabric.
 
-This module reduces the four controller FSMs of
-:mod:`repro.gline.controllers`, the wire/S-CSMA semantics of
-:mod:`repro.gline.gline` and the watchdog/failover machinery of
-:mod:`repro.gline.network` to a compact, hashable state -- a ``bytes``
-string of small registers -- plus one deterministic *tick* per step.  The
-explorer (:mod:`repro.verify.explore`) enumerates every arrival
-interleaving on top of it; the conformance bridge
-(:mod:`repro.verify.conformance`) replays any path cycle-for-cycle on the
-real event-driven simulator.
+:class:`GLBarrierModel` drives the production
+:class:`~repro.gline.fabric.BarrierFabric` -- the wires, bar_regs and
+the four Figure-4 controllers that
+:class:`~repro.gline.network.GLineBarrierNetwork` clocks -- through its
+``snapshot``/``restore`` interface, the way
+:class:`~repro.verify.collectives.CollectiveModel` drives the collective
+fabric.  Every controller transition the explorer
+(:mod:`repro.verify.explore`) enumerates is computed by the code that
+runs in the simulator; wire faults reach the fabric through the same
+:class:`~repro.verify.scenarios.ScenarioInjector` the simulator replay
+(:mod:`repro.verify.conformance`) attaches.
 
-State layout (all single bytes)::
+A state is ``(fabric snapshot, cores, tail)``: ``cores[i]`` is local
+*i*'s ``(arrivals, releases, cooldown)`` and ``tail`` holds the
+network-level registers below.  Three parts are hand-written, and they
+are the abstraction:
 
-    per row r (R blocks):   Scnt Mcnt flag rel_trig  Ma Mr Mcd sv_sent
-                            then per horizontal slave: a r signaling cd
-    MasterV block:          Scnt Mcnt done validating
-    tail:                   since_all wd retries quarantined
-                            row_validated episodes_done
-                            recovery_state probe_timer probation_left
-                            flaps probe_fails glitch_armed degraded_ever
+* **The environment.**  An action picks which eligible cores arrive
+  this step.  A core is eligible when it is not waiting, has episodes
+  left and is not cooling down: a released core's re-arrival becomes
+  visible no earlier than two steps later (``barreg_write_cycles``).
+  Per row, an action says whether the master arrives and how many
+  slaves of each class of interchangeable eligible slaves do; it is
+  applied to the lowest-indexed eligible cores of each class, so every
+  path is a concrete schedule.  A scenario's one-shot ``glitch`` is an
+  extra environment choice that forces the damaged TX wire high for one
+  clocked cycle.
+* **The timer fold.**  One step is one engine cycle at
+  ``barreg_write_cycles = 0``: arrivals land, then the watchdog counts
+  down, then -- unless the network is quarantined or clock-gated
+  (``BarrierFabric.will_act`` false, exactly the network's power
+  gating) -- the fabric ticks.  The network's engine-side machinery is
+  folded to tick granularity: the all-arrived watchdog countdown, the
+  retry budget, failover to the software cohort (which releases every
+  core once all have arrived), and the recovery FSM of
+  :mod:`repro.gline.recovery` with the probe backoff held at the
+  constant ``probe_backoff`` (the transient PROBING cycles collapse into
+  the instant the probe timer expires, and re-admission waits for an
+  episode boundary, as the sticky software cohort makes it on the chip).
+* **The property checks** on every edge: safety, exactly-once, the
+  completion bound, and for recovery scenarios bounded recovery and the
+  flap bound.
 
-``a``/``r`` (``Ma``/``Mr`` for the row master) count a core's barrier
-*arrivals* and *releases*; ``bar_reg`` is set exactly when ``a == r + 1``,
-so it needs no byte of its own.  ``cd`` is a one-step cooldown after a
-release mirroring the >= 1-cycle gap (``barreg_write_cycles``) before a
-re-arrival can become visible.  ``since_all`` counts ticks since every
-core of the in-flight episode arrived -- the register behind the paper's
-4-cycle completion theorem.  ``wd`` is the armed watchdog's remaining
-ticks (0 = idle).
+Cycle accuracy is exact along fault-free paths (the equivalence test in
+``tests/verify/test_model.py`` pins it); under faults the folded
+watchdog makes the model behavior-equivalent rather than cycle-identical.
 
-One model step = deliver a chosen set of arrivals (the environment
-action), run the watchdog bookkeeping, then execute one network tick with
-the exact sub-phase ordering of ``GLineBarrierNetwork._tick``: assert
-(MasterH, SlaveH, SlaveV, MasterV last), fault injection, the hardened
-release-line guard, sample (MasterV first, then MasterH, SlaveV, SlaveH),
-the single-row degenerate release, release completion, fault handling.
-Cycle-accuracy is exact along fault-free paths; under fault scenarios the
-model collapses the network's dormant cycles and is therefore
-behavior-equivalent rather than cycle-identical (see
-``docs/verification.md``).
-
-Recovery scenarios (``scenario.recovery``) extend the tail with the
-probe/probation FSM of :mod:`repro.gline.recovery`: ``recovery_state``
-is HEALTHY/DEGRADED/PROBATION/RETIRED (the transient PROBING episode is
-folded into the instant the probe timer expires -- the model is
-behavior-equivalent, not cycle-identical, under faults anyway), the
-probe timer abstracts the exponential backoff to the constant
-``probe_backoff``, and re-admission is deferred to an episode boundary
-exactly as the sticky software cohort in
-:class:`~repro.gline.barrier.GLBarrier` defers it on the real chip.  A
-scenario's one-shot ``glitch`` is an extra environment action: the
-explorer fires it at every possible step, forcing the damaged TX wire
-high for one cycle so the S-CSMA count lands exactly on the gather
-target with a core missing.
-
-Symmetry reduction: horizontal slaves within a row are interchangeable
-(their blocks are kept sorted), as are entire rows 1..R-1 (row 0 hosts
-MasterV and is special) unless the scenario damages a specific row >= 1.
-Canonical states shrink the reachable space by roughly the product of the
-per-row factorials while preserving all checked properties, which are
-permutation-invariant.
+Symmetry reduction: horizontal slaves within a row are interchangeable,
+as are rows 1..R-1 unless a scenario pins a fault to one of them.
+:meth:`GLBarrierModel.key` sorts those bundles; states themselves stay
+un-permuted, so counterexamples keep true core labels.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .scenarios import FAULT_FREE, FaultScenario, Mutation, get_mutation
-
-# Row-block register offsets.
-SC, MC, FL, RT, MA, MR, MCD, SVS = range(8)
-ROW_FIXED = 8
-#: Per-slave sub-block: arrivals, releases, signaling, cooldown.
-SL_A, SL_R, SL_SIG, SL_CD = range(4)
-SLAVE = 4
-#: MasterV block offsets (relative to ``mv_off``).
-V_SC, V_MC, V_DONE, V_VAL = range(4)
-MV = 4
-#: Tail offsets (relative to ``tail_off``).  The recovery bytes stay 0
-#: for non-recovery scenarios, so canonical state counts are unchanged.
-(T_SA, T_WD, T_RET, T_Q, T_RV, T_EPS,
- T_RST, T_PRT, T_PBL, T_FLP, T_PRF, T_GL, T_DEG) = range(13)
-TAIL = 13
-
-#: ``T_RST`` recovery-state encoding.
-R_HEALTHY, R_DEGRADED, R_PROBATION, R_RETIRED = range(4)
+from ..common.params import GLineConfig
+from ..gline.fabric import BarrierFabric, Snapshot
+from ..gline.recovery import DEGRADED, HEALTHY, PROBATION, QUARANTINED
+from .scenarios import (FAULT_FREE, FaultScenario, Mutation,
+                        ScenarioInjector, get_mutation)
 
 #: The one-shot glitch marker appended to an action tuple.
 GLITCH = "glitch"
@@ -105,12 +81,26 @@ P_RECOVERY = "bounded-recovery"
 P_FLAP = "flap-bound"
 
 #: Cap on ``since_all`` so fault scenarios (which legitimately exceed the
-#: completion bound while the watchdog counts down) keep the byte finite.
+#: completion bound while the watchdog counts down) keep it finite.
 _SA_CAP = 250
 
-#: One row's worth of an action: (master_arrives, ((slave_block, n), ...)).
-RowAction = Tuple[int, Tuple[Tuple[bytes, int], ...]]
-Action = Tuple[RowAction, ...]
+#: Tail registers: steps since all cores arrived, watchdog timer (0 =
+#: idle), retries, quarantined, completed episodes, recovery state,
+#: probe timer, probation barriers left, flaps, failed probes, glitch
+#: armed, degraded ever.
+(T_SA, T_WD, T_RET, T_Q, T_EPS, T_RST, T_PRT, T_PBL, T_FLP, T_PRF, T_GL,
+ T_DEG) = range(12)
+
+#: ``T_RST`` encoding, and the recovery-controller state each stands for.
+R_HEALTHY, R_DEGRADED, R_PROBATION, R_RETIRED = range(4)
+_RECOVERY_STATE = (HEALTHY, DEGRADED, PROBATION, QUARANTINED)
+
+#: A core's ``(arrivals, releases, cooldown)``.
+Core = Tuple[int, int, int]
+State = Tuple[Snapshot, Tuple[Core, ...], Tuple[int, ...]]
+#: One row's worth of an action: (master_arrives, ((slave_class, n), ...)).
+RowAction = Tuple[int, Tuple[Tuple[Any, int], ...]]
+Action = Tuple[Any, ...]
 
 
 class PropertyViolation(Exception):
@@ -123,6 +113,16 @@ class PropertyViolation(Exception):
         self.message = message
 
 
+class _RecoveryView:
+    """The recovery registers a scenario injector's heal modes read, fed
+    from the model's tail instead of a live RecoveryController."""
+
+    def __init__(self) -> None:
+        self.recovery = self
+        self.state = HEALTHY
+        self.degraded_episodes = 0
+
+
 class GLBarrierModel:
     """The G-line barrier network of one mesh as a transition system.
 
@@ -132,22 +132,19 @@ class GLBarrierModel:
     :param mutation: name of a deliberate FSM bug from
         :data:`~repro.verify.scenarios.MUTATIONS`, or ``None``.
     :param episodes: barrier episodes each core must complete.
-    :param symmetric: canonicalize states (slave/row sorting).  Disable
-        to track concrete core identities (counterexample replay).
     """
 
     def __init__(self, rows: int, cols: int, *,
                  scenario: FaultScenario = FAULT_FREE,
                  mutation: Optional[str] = None,
-                 episodes: int = 1,
-                 symmetric: bool = True):
+                 episodes: int = 1):
         if not (1 <= rows <= 7 and 1 <= cols <= 7):
             raise ValueError(f"mesh {rows}x{cols} outside the 7x7 S-CSMA "
                              f"limit of one G-line network")
         if rows * cols < 2:
             raise ValueError("a 1x1 mesh has no barrier to check")
-        if not 1 <= episodes <= 16:
-            raise ValueError(f"episodes must be 1..16, got {episodes}")
+        if episodes < 1:
+            raise ValueError(f"episodes must be >= 1, got {episodes}")
         reason = scenario.applicable(rows, cols)
         if reason is not None:
             raise ValueError(f"scenario {scenario.name!r}: {reason}")
@@ -155,7 +152,6 @@ class GLBarrierModel:
         self.cols = cols
         self.scenario = scenario
         self.episodes = episodes
-        self.symmetric = symmetric
         self.mutation: Optional[Mutation] = \
             get_mutation(mutation) if mutation is not None else None
         if self.mutation is not None:
@@ -169,55 +165,34 @@ class GLBarrierModel:
                     f"scenario (it disables probation's shadow check)")
 
         self.num_cores = rows * cols
-        self.num_slaves_h = cols - 1
-        self.num_slaves_v = rows - 1
         self.hardened = scenario.hardened
         self.budget = scenario.watchdog_budget
         self.max_retries = scenario.watchdog_retries
-
-        # Gather thresholds; a mutation shaves one off exactly as
-        # ``Mutation.apply_to_network`` shaves the real ``num_slaves``.
-        self.mh_target = self.num_slaves_h
-        self.mv_target = self.num_slaves_v
-        if self.mutation is not None:
-            if self.mutation.target == "mh":
-                self.mh_target -= 1
-            elif self.mutation.target == "mv":
-                self.mv_target -= 1
-        #: Scnt caps: one past the overshoot threshold is behaviorally
-        #: absorbing (``== target`` stays false, ``> target`` stays true).
-        self.mh_cap = self.mh_target + 1
-        self.mv_cap = self.mv_target + 1
-
-        # Recovery FSM parameters (see repro.gline.recovery).
         self.recovery = scenario.recovery
-        self.probation_barriers = scenario.probation_barriers
-        self.max_flaps = scenario.max_flaps
-        self.probe_backoff = scenario.probe_backoff
-        self.max_probes = scenario.max_probes
-        self.heal = scenario.heal
-        self.glitch_armed = scenario.glitch_role is not None
-        self.glitch_row = scenario.glitch_row
         #: The planted bug: probation runs without the shadow check.
         self.shadow_mutated = (self.mutation is not None
                                and self.mutation.target == "shadow")
 
-        # State layout.
-        self.row_size = ROW_FIXED + SLAVE * self.num_slaves_h
-        self.mv_off = rows * self.row_size
-        self.tail_off = self.mv_off + MV
-        self.size = self.tail_off + TAIL
-
-        # Static per-wire faults: role -> (stuck | None, count_delta).
-        self._fault: Dict[Tuple[str, int], Tuple[Optional[int], int]] = {}
-        if scenario.role is not None:
-            row = scenario.row if scenario.role.startswith("row_") else 0
-            self._fault[(scenario.role, row)] = (scenario.stuck,
-                                                 scenario.count_delta)
+        self.fabric = BarrierFabric(
+            rows, cols, GLineConfig().max_transmitters, name="model",
+            hardened=self.hardened)
+        if self.mutation is not None:
+            self.mutation.apply_to_fabric(self.fabric)
+        self._view = _RecoveryView()
+        #: Injector clock: ``0`` on the step the glitch fires, else None.
+        self._now: Optional[int] = None
+        self.injector: Optional[ScenarioInjector] = None
+        if scenario.needs_injector:
+            inj = ScenarioInjector(scenario, glitch_cycles=(0,))
+            inj.net = self._view
+            self.injector = inj
+            self.fabric.perturb_hook = (
+                lambda lines: inj.perturb_glines(lines, now=self._now))
+        self._initial_fabric = self.fabric.snapshot()
 
         #: Row symmetry is sound unless the scenario pins a fault (or the
         #: one-shot glitch) to a specific row >= 1 (row 0 is never sorted).
-        self.sort_rows = symmetric and rows > 2 and not (
+        self.sort_rows = not (
             scenario.role in ("row_tx", "row_rel")
             and scenario.row >= 1) and not (
             scenario.glitch_role is not None and scenario.glitch_row >= 1)
@@ -244,589 +219,377 @@ class GLBarrierModel:
                 "scenario": self.scenario.to_dict(),
                 "mutation": (self.mutation.name
                              if self.mutation is not None else None),
-                "episodes": self.episodes,
-                "symmetric": self.symmetric}
+                "episodes": self.episodes}
 
     # ------------------------------------------------------------------ #
-    # State helpers
+    # States
     # ------------------------------------------------------------------ #
-    def initial(self) -> bytes:
-        s = bytearray(self.size)
-        for r in range(self.rows):
-            base = r * self.row_size + ROW_FIXED
-            for i in range(self.num_slaves_h):
-                s[base + i * SLAVE + SL_SIG] = 1
-        t = self.tail_off
+    def initial(self) -> State:
+        tail = [0] * 12
         if self.recovery and self.scenario.start == "probation":
-            s[t + T_RST] = R_PROBATION
-            s[t + T_PBL] = self.probation_barriers
-        if self.glitch_armed:
-            s[t + T_GL] = 1
-        return bytes(self._canon(s))
+            tail[T_RST] = R_PROBATION
+            tail[T_PBL] = self.scenario.probation_barriers
+        if self.scenario.glitch_role is not None:
+            tail[T_GL] = 1
+        cores = ((0, 0, 0),) * self.num_cores
+        return (self._initial_fabric, cores, tuple(tail))
 
-    def _canon(self, s: bytearray) -> bytearray:
-        if not self.symmetric:
-            return s
-        for r in range(self.rows):
-            base = r * self.row_size + ROW_FIXED
-            blocks = sorted(bytes(s[base + i * SLAVE:
-                                    base + (i + 1) * SLAVE])
-                            for i in range(self.num_slaves_h))
-            for i, blk in enumerate(blocks):
-                s[base + i * SLAVE: base + (i + 1) * SLAVE] = blk
-        if self.sort_rows:
-            rows = sorted(bytes(s[r * self.row_size:
-                                  (r + 1) * self.row_size])
-                          for r in range(1, self.rows))
-            for k, blk in enumerate(rows):
-                base = (1 + k) * self.row_size
-                s[base: base + self.row_size] = blk
-        return s
-
-    def _core_regs(self, s: Sequence[int]) -> List[Tuple[int, int]]:
-        """(arrivals, releases) of every core, masters then slaves."""
-        out = []
-        for r in range(self.rows):
-            base = r * self.row_size
-            out.append((s[base + MA], s[base + MR]))
-            sb = base + ROW_FIXED
-            for i in range(self.num_slaves_h):
-                off = sb + i * SLAVE
-                out.append((s[off + SL_A], s[off + SL_R]))
-        return out
-
-    def _all_waiting(self, s: Sequence[int]) -> bool:
-        return all(a == r + 1 for a, r in self._core_regs(s))
-
-    def _any_waiting(self, s: Sequence[int]) -> bool:
-        return any(a == r + 1 for a, r in self._core_regs(s))
-
-    def _waiting_count(self, s: Sequence[int]) -> int:
-        return sum(a == r + 1 for a, r in self._core_regs(s))
-
-    def is_complete(self, s: Sequence[int]) -> bool:
+    def is_complete(self, state: State) -> bool:
         """All episodes done and every core released from the last one."""
-        return s[self.tail_off + T_EPS] == self.episodes
+        return state[2][T_EPS] == self.episodes
+
+    def key(self, state: State) -> Any:
+        """Hashable canonical key identifying *state* up to symmetry.
+
+        Same-row slave bundles (controller registers, bar_reg, core
+        counters) and whole row bundles below row 0 are interchangeable
+        when equal, because the wires count transmitters without caring
+        which one asserted; sorting them makes symmetric states collide
+        in the visited set.  As in ``CollectiveModel.key`` the sort key
+        is ``hash``: a tie between unequal bundles only misses a merge.
+        """
+        (rows, master_v, row_validated, col), cores, tail = state
+        cols = self.cols
+        bundles = []
+        for r, (mh, sv, slaves, wires) in enumerate(rows):
+            base = r * cols
+            bundles.append((mh, cores[base], sv, wires, tuple(sorted(
+                zip(slaves, cores[base + 1: base + cols]), key=hash))))
+        rest = bundles[1:]
+        if self.sort_rows:
+            rest.sort(key=hash)
+        return (bundles[0], tuple(rest), master_v, row_validated, col,
+                tail)
 
     # ------------------------------------------------------------------ #
-    # Environment actions
+    # The environment
     # ------------------------------------------------------------------ #
-    def _eligible(self, a: int, r: int, cd: int) -> bool:
-        return a == r and a < self.episodes and cd == 0
+    def _eligible(self, core: Core) -> bool:
+        return core[0] == core[1] and core[0] < self.episodes \
+            and not core[2]
 
-    def actions(self, state: bytes) -> List[Action]:
+    def _row_choices(self, state: State, r: int
+                     ) -> Tuple[bool, Dict[Any, int]]:
+        """(master eligible, eligible slave class -> size) for row *r*."""
+        cores = state[1]
+        base = r * self.cols
+        classes: Dict[Any, int] = {}
+        slaves = state[0][0][r][2]
+        for i, sl in enumerate(slaves):
+            core = cores[base + 1 + i]
+            if self._eligible(core):
+                cls = (sl, core)
+                classes[cls] = classes.get(cls, 0) + 1
+        return self._eligible(cores[base]), classes
+
+    def actions(self, state: State) -> List[Action]:
         """All arrival choices from *state*, in deterministic order.
 
         Index 0 is always the empty (pure-tick) action; the last index
         delivers every eligible arrival at once.  Within a row, eligible
-        slaves are grouped by their (identical) register block and the
-        action picks a *count* per group -- the symmetry-reduced form of
+        slaves are grouped into classes of equal bundles and the action
+        picks a *count* per class -- the symmetry-reduced form of
         choosing subsets.
         """
         per_row: List[List[RowAction]] = []
         for r in range(self.rows):
-            base = r * self.row_size
-            m_elig = self._eligible(state[base + MA], state[base + MR],
-                                    state[base + MCD])
-            classes: Counter[bytes] = Counter()
-            sb = base + ROW_FIXED
-            for i in range(self.num_slaves_h):
-                off = sb + i * SLAVE
-                if self._eligible(state[off + SL_A], state[off + SL_R],
-                                  state[off + SL_CD]):
-                    classes[state[off: off + SLAVE]] += 1
+            m_elig, classes = self._row_choices(state, r)
             items = list(classes.items())
             ranges = [range(n + 1) for _, n in items]
             opts: List[RowAction] = []
             for m in ((0, 1) if m_elig else (0,)):
                 for counts in product(*ranges):
                     opts.append((m, tuple(
-                        (blk, c) for (blk, _), c in zip(items, counts)
+                        (cls, c) for (cls, _), c in zip(items, counts)
                         if c)))
             per_row.append(opts)
-        acts = [tuple(combo) for combo in product(*per_row)]
-        if state[self.tail_off + T_GL]:
+        acts: List[Action] = [tuple(combo) for combo in product(*per_row)]
+        if state[2][T_GL]:
             # The one-shot glitch may fire alongside any arrival choice;
             # un-glitched variants come first so the last action stays
             # the maximal one (arrivals + glitch = ``max_action``).
             acts = acts + [a + (GLITCH,) for a in acts]
         return acts
 
-    def max_action(self, state: bytes) -> Action:
+    def max_action(self, state: State) -> Action:
         """The action delivering every eligible arrival (equals the last
         entry of :meth:`actions`, built without full enumeration)."""
-        out: List[RowAction] = []
+        out: List[Any] = []
         for r in range(self.rows):
-            base = r * self.row_size
-            m = 1 if self._eligible(state[base + MA], state[base + MR],
-                                    state[base + MCD]) else 0
-            classes: Counter[bytes] = Counter()
-            sb = base + ROW_FIXED
-            for i in range(self.num_slaves_h):
-                off = sb + i * SLAVE
-                if self._eligible(state[off + SL_A], state[off + SL_R],
-                                  state[off + SL_CD]):
-                    classes[state[off: off + SLAVE]] += 1
-            out.append((m, tuple(classes.items())))
-        act = tuple(out)
-        if state[self.tail_off + T_GL]:
-            act = act + (GLITCH,)
-        return act
+            m_elig, classes = self._row_choices(state, r)
+            out.append((1 if m_elig else 0, tuple(classes.items())))
+        if state[2][T_GL]:
+            out.append(GLITCH)
+        return tuple(out)
+
+    @staticmethod
+    def glitched(action: Action) -> bool:
+        """Does *action* fire the scenario's one-shot glitch?"""
+        return len(action) > 0 and action[-1] == GLITCH
+
+    def arrivals(self, state: State, action: Action) -> List[int]:
+        """The concrete cores (``row * cols + col``) *action* delivers
+        from *state*: the lowest-indexed eligible cores of each class."""
+        if self.glitched(action):
+            action = action[:-1]
+        if len(action) != self.rows:
+            raise ValueError("action must have one entry per row")
+        cores = state[1]
+        out: List[int] = []
+        for r, (m_arr, choices) in enumerate(action):
+            base = r * self.cols
+            if m_arr:
+                out.append(base)
+            slaves = state[0][0][r][2]
+            for cls, count in choices:
+                left = count
+                for i, sl in enumerate(slaves):
+                    if left == 0:
+                        break
+                    local = base + 1 + i
+                    if (sl, cores[local]) == cls:
+                        out.append(local)
+                        left -= 1
+                if left:
+                    raise ValueError(
+                        f"action asks for {count} slaves of class {cls} "
+                        f"in row {r}; not that many eligible")
+        return out
 
     # ------------------------------------------------------------------ #
     # One transition
     # ------------------------------------------------------------------ #
-    def step(self, state: bytes, action: Action) -> bytes:
-        """Apply *action*'s arrivals, then run one network tick.
+    def step(self, state: State, action: Action) -> State:
+        """Apply *action*'s arrivals, then run one network cycle.
 
         Raises :class:`PropertyViolation` when the transition breaks
         safety, exactly-once delivery or the completion bound.
         """
-        glitch = len(action) > 0 and action[-1] == GLITCH
+        return self.deliver(state, self.arrivals(state, action),
+                            glitch=self.glitched(action))
+
+    def deliver(self, state: State, arrivals: Sequence[int],
+                glitch: bool = False) -> State:
+        """One cycle in which exactly the cores *arrivals* arrive (and,
+        with *glitch*, the armed one-shot glitch fires)."""
+        fab, core_regs, tail = state
+        t = list(tail)
         if glitch:
-            if not state[self.tail_off + T_GL]:
+            if not t[T_GL]:
                 raise ValueError("glitch fired but not armed")
-            action = action[:-1]
-        s = bytearray(state)
-        self._apply_arrivals(s, action)
-        if glitch:
-            s[self.tail_off + T_GL] = 0
-        return bytes(self._canon(self._advance(s, glitch)))
+            t[T_GL] = 0
+        fabric = self.fabric
+        fabric.restore(fab)
+        cores = list(core_regs)
+        for local in sorted(set(arrivals)):
+            if not 0 <= local < self.num_cores:
+                raise ValueError(f"core {local} outside the mesh")
+            core = cores[local]
+            if not self._eligible(core):
+                raise ValueError(f"core {local} is not eligible to arrive")
+            cores[local] = (core[0] + 1, core[1], core[2])
+            if not t[T_Q]:
+                fabric.arrive_local(local)
+        if self.hardened and not t[T_Q] and t[T_WD] == 0 \
+                and self._all_waiting(cores):
+            # Armed by the arrival that set the last bar_reg
+            # (``_set_barreg``); +1 compensates the same-step decrement
+            # below, so the timer fires pre-tick ``budget`` steps later.
+            t[T_WD] = self.budget + 1
+        self._now = 0 if glitch else None
+        self._advance(cores, t)
+        return (fabric.snapshot(), tuple(cores), tuple(t))
 
-    def step_cores(self, state: bytes, cores: Iterable[int],
-                   glitch: bool = False) -> bytes:
-        """Concrete-identity variant: arrivals named by mesh core id
-        (``row * cols + col``).  Used with ``symmetric=False`` for
-        counterexample replay and trace lifting."""
-        if glitch and not state[self.tail_off + T_GL]:
-            raise ValueError("glitch fired but not armed")
-        s = bytearray(state)
-        for cid in sorted(set(cores)):
-            r, c = divmod(cid, self.cols)
-            if not 0 <= r < self.rows:
-                raise ValueError(f"core {cid} outside the mesh")
-            base = r * self.row_size
-            off = base + MA if c == 0 \
-                else base + ROW_FIXED + (c - 1) * SLAVE + SL_A
-            cd = base + MCD if c == 0 \
-                else base + ROW_FIXED + (c - 1) * SLAVE + SL_CD
-            rel = base + MR if c == 0 \
-                else base + ROW_FIXED + (c - 1) * SLAVE + SL_R
-            if not self._eligible(s[off], s[rel], s[cd]):
-                raise ValueError(f"core {cid} is not eligible to arrive")
-            s[off] += 1
-        self._post_arrival(s)
-        if glitch:
-            s[self.tail_off + T_GL] = 0
-        return bytes(self._canon(self._advance(s, glitch)))
+    @staticmethod
+    def _all_waiting(cores: Sequence[Core]) -> bool:
+        return all(a == r + 1 for a, r, _ in cores)
 
-    # -- arrival phase ------------------------------------------------- #
-    def _apply_arrivals(self, s: bytearray, action: Action) -> None:
-        if len(action) != self.rows:
-            raise ValueError("action must have one entry per row")
-        for r, (m_arr, slave_choices) in enumerate(action):
-            base = r * self.row_size
-            if m_arr:
-                s[base + MA] += 1
-            sb = base + ROW_FIXED
-            for blk, count in slave_choices:
-                remaining = count
-                for i in range(self.num_slaves_h):
-                    if remaining == 0:
-                        break
-                    off = sb + i * SLAVE
-                    if s[off: off + SLAVE] == blk \
-                            and s[off + SL_A] == s[off + SL_R]:
-                        s[off + SL_A] += 1
-                        remaining -= 1
-                if remaining:
-                    raise ValueError(
-                        f"action asks for {count} slaves of class "
-                        f"{blk.hex()} in row {r}; not that many eligible")
-        self._post_arrival(s)
+    @staticmethod
+    def _waiting_count(cores: Sequence[Core]) -> int:
+        return sum(a == r + 1 for a, r, _ in cores)
 
-    def _post_arrival(self, s: bytearray) -> None:
-        """Arm the all-arrived watchdog exactly when the arrival that set
-        the last bar_reg lands (``_set_barreg`` in the real network)."""
-        t = self.tail_off
-        if self.hardened and not s[t + T_Q] and s[t + T_WD] == 0 \
-                and self._all_waiting(s):
-            # +1 compensates the same-step decrement in _advance: the
-            # timer fires pre-tick ``budget`` ticks after arming.
-            s[t + T_WD] = self.budget + 1
-
-    # -- watchdog + tick ------------------------------------------------ #
-    def _advance(self, s: bytearray, glitch: bool = False) -> bytearray:
-        t = self.tail_off
-        if s[t + T_WD]:
-            s[t + T_WD] -= 1
-            if s[t + T_WD] == 0:
+    # -- timer fold + tick ------------------------------------------------ #
+    def _advance(self, cores: List[Core], t: List[int]) -> None:
+        if t[T_WD]:
+            t[T_WD] -= 1
+            if t[T_WD] == 0 and not t[T_Q] and self._waiting_count(cores):
                 # Timer expiry (network dormant in every scenario that
                 # reaches it): handle the fault instead of ticking, and
                 # resume clocking next step -- the real retry schedules
                 # its first tick one line-latency later.
-                if not s[t + T_Q] and self._any_waiting(s):
-                    self._handle_fault(s)
-                    self._end_of_step(s, [])
-                    return s
-        if self.recovery and s[t + T_RST] == R_DEGRADED and s[t + T_PRT]:
-            s[t + T_PRT] -= 1
-            if s[t + T_PRT] == 0:
-                self._probe(s)
-        if s[t + T_Q]:
-            self._sw_tick(s)
-        else:
-            self._hw_tick(s, glitch)
-        return s
-
-    # -- recovery FSM (repro.gline.recovery, folded to tick granularity) #
-    def _fault_active(self, s: Sequence[int]) -> bool:
-        """Whether the scenario's static fault perturbs the wires now.
-
-        The heal modes make the fault deterministically intermittent:
-        ``after-degrade`` ends the burst at the first failover,
-        ``off-degraded`` is a load-correlated fault invisible to idle
-        probes (active except while degraded)."""
-        if not self._fault:
-            return False
-        if not self.recovery or self.heal == "never":
-            return True
-        t = self.tail_off
-        if self.heal == "after-degrade":
-            return not s[t + T_DEG]
-        return s[t + T_RST] != R_DEGRADED
-
-    def _probe(self, s: bytearray) -> None:
-        """The probe timer expired: run the idle-cycle wire test.
-
-        Passes exactly when the static fault is inactive (the real probe
-        drives every line and checks level/count both ways; any live
-        stuck-at or miscount trips it).  Re-admission waits for an
-        episode boundary -- the sticky software cohort on the real chip
-        keeps a mid-flight episode software either way."""
-        t = self.tail_off
-        if not self._fault_active(s):
-            if self._any_waiting(s):
-                s[t + T_PRT] = self.probe_backoff
+                self._handle_fault(cores, t)
+                self._end_of_step(cores, t, [])
                 return
-            s[t + T_RST] = R_PROBATION
-            s[t + T_PBL] = self.probation_barriers
-            s[t + T_PRF] = 0
-            s[t + T_Q] = 0
-            self._reset_fsm(s)
-            return
-        s[t + T_PRF] += 1
-        if s[t + T_PRF] > self.max_probes:
-            raise PropertyViolation(
-                P_RECOVERY,
-                f"{s[t + T_PRF]} failed probes exceed the "
-                f"max_probes bound of {self.max_probes}")
-        if s[t + T_PRF] >= self.max_probes:
-            s[t + T_RST] = R_RETIRED
+        if self.recovery and t[T_RST] == R_DEGRADED and t[T_PRT]:
+            t[T_PRT] -= 1
+            if t[T_PRT] == 0:
+                self._probe(cores, t)
+        if t[T_Q]:
+            self._sw_tick(cores, t)
         else:
-            s[t + T_PRT] = self.probe_backoff
+            self._network_tick(cores, t)
 
-    def _sw_tick(self, s: bytearray) -> None:
+    def _sync_view(self, t: List[int]) -> None:
+        """Point the injector's heal modes at this state's recovery
+        registers."""
+        self._view.state = _RECOVERY_STATE[t[T_RST]]
+        self._view.degraded_episodes = t[T_DEG]
+
+    def _network_tick(self, cores: List[Core], t: List[int]) -> None:
+        fabric = self.fabric
+        if not fabric.will_act():
+            # Clock-gated: nothing can change until a bar_reg write.
+            self._end_of_step(cores, t, [])
+            return
+        if self.injector is not None:
+            self._sync_view(t)
+        released = fabric.tick()
+        fault = fabric.collect_fault()
+
+        # Hardened release atomicity (the network's partial-release
+        # guard): a legitimate pulse covers every waiting core in one
+        # cycle; a shortfall fails the episode over as one cohort.
+        if self.hardened and released \
+                and len(released) != self._waiting_count(cores):
+            self._failover(cores, t)
+            self._end_of_step(cores, t, [])
+            return
+        # Probation shadow cross-check (``RecoveryController.release_ok``);
+        # the planted ``shadow`` mutation skips it.
+        if (self.recovery and t[T_RST] == R_PROBATION
+                and not self.shadow_mutated and released
+                and len(released) != self.num_cores):
+            self._failover(cores, t)
+            self._end_of_step(cores, t, [])
+            return
+
+        self._end_of_step(cores, t, released)
+        if fault and self._waiting_count(cores):
+            self._handle_fault(cores, t)
+
+    def _sw_tick(self, cores: List[Core], t: List[int]) -> None:
         """Quarantined network: episodes complete over the software
         fallback barrier, which releases everyone once all have arrived
         (its own correctness is covered by the schedule-permutation
         tests in ``tests/sync``)."""
-        released: List[Tuple[int, int]] = []
-        if self._all_waiting(s):
-            for r in range(self.rows):
-                released.append((r, -1))
-                released.extend((r, i) for i in range(self.num_slaves_h))
-        self._end_of_step(s, released)
+        released: List[int] = []
+        if self._all_waiting(cores):
+            released = list(range(self.num_cores))
+        self._end_of_step(cores, t, released)
 
-    def _hw_tick(self, s: bytearray, glitch: bool = False) -> None:
-        rows, nsh = self.rows, self.num_slaves_h
-        t, mv = self.tail_off, self.mv_off
-        released: List[Tuple[int, int]] = []  # (row, slave_i); -1=master
-
-        # ---- assert phase: MasterH, SlaveH, SlaveV, MasterV ---------- #
-        drove_h = [False] * rows
-        row_rel_level = [False] * rows
-        row_tx_count = [0] * rows
-        col_tx_count = 0
-        col_rel_level = False
-        drove_v = False
-        for r in range(rows):
-            base = r * self.row_size
-            if s[base + RT]:
-                if nsh:
-                    row_rel_level[r] = True
-                    drove_h[r] = True
-                s[base + SC] = s[base + MC] = 0
-                s[base + FL] = s[base + RT] = 0
-                if s[base + MA] == s[base + MR] + 1:
-                    released.append((r, -1))
-                # on_release wiring hooks.
-                if r == 0 and rows > 1:
-                    s[mv + V_SC] = s[mv + V_MC] = s[mv + V_DONE] = 0
-                elif r >= 1:
-                    s[base + SVS] = 0
-        for r in range(rows):
-            sb = r * self.row_size + ROW_FIXED
-            for i in range(nsh):
-                off = sb + i * SLAVE
-                if s[off + SL_SIG] and s[off + SL_A] == s[off + SL_R] + 1:
-                    row_tx_count[r] += 1
-                    s[off + SL_SIG] = 0
-        if rows > 1:
-            for r in range(1, rows):
-                base = r * self.row_size
-                if not s[base + SVS] and s[base + FL]:
-                    col_tx_count += 1
-                    s[base + SVS] = 1
-            if s[mv + V_DONE]:
-                col_rel_level = True
-                drove_v = True
-                s[RT] = 1  # row-0 MasterH trigger, consumed next tick
-                s[mv + V_SC] = s[mv + V_MC] = s[mv + V_DONE] = 0
-
-        # ---- wire faults land between assert and sample -------------- #
-        row_tx_eff = list(row_tx_count)
-        col_tx_eff = col_tx_count
-        if self._fault_active(s):
-            for r in range(rows):
-                stuck, delta = self._fault.get(("row_tx", r), (None, 0))
-                if stuck is not None:
-                    row_tx_eff[r] = nsh if stuck else 0
-                elif delta:
-                    row_tx_eff[r] = min(max(row_tx_count[r] + delta, 0),
-                                        nsh)
-                stuck, _ = self._fault.get(("row_rel", r), (None, 0))
-                if stuck is not None:
-                    row_rel_level[r] = bool(stuck)
-            stuck, delta = self._fault.get(("col_tx", 0), (None, 0))
-            if stuck is not None:
-                col_tx_eff = self.num_slaves_v if stuck else 0
-            elif delta:
-                col_tx_eff = min(max(col_tx_count + delta, 0),
-                                 self.num_slaves_v)
-            stuck, _ = self._fault.get(("col_rel", 0), (None, 0))
-            if stuck is not None:
-                col_rel_level = bool(stuck)
-        if glitch:
-            # One-shot forced-high on the glitch row's TX wire: the
-            # S-CSMA count reads the full attached-transmitter count.
-            row_tx_eff[self.glitch_row] = nsh
-
-        # ---- hardened spurious-release guard ------------------------- #
-        spurious = False
-        if self.hardened:
-            for r in range(rows):
-                if row_rel_level[r] and not drove_h[r]:
-                    row_rel_level[r] = False
-                    spurious = True
-            if col_rel_level and not drove_v:
-                col_rel_level = False
-                spurious = True
-
-        # ---- sample phase: MasterV first, then MasterH, SlaveV, SlaveH #
-        # The release stage cleared the master's bar_reg during the
-        # assert phase, but the model's MA/MR accounting only happens in
-        # _end_of_step -- so the `MA == MR + 1` predicate is stale for
-        # masters released this tick and must not re-latch Mcnt.
-        rel_masters = {row for row, slave_i in released if slave_i < 0}
-        suspected = False
-        if rows > 1:
-            s[mv + V_SC] = min(s[mv + V_SC] + col_tx_eff, self.mv_cap)
-            if s[FL]:  # row-0 flag as latched before MasterH samples
-                s[mv + V_MC] = 1
-            if self.hardened and s[mv + V_SC] > self.mv_target:
-                suspected = True
-                s[mv + V_VAL] = 0
-            elif not s[mv + V_DONE] and s[mv + V_MC] == 1 \
-                    and s[mv + V_SC] == self.mv_target:
-                if self.hardened and not s[mv + V_VAL]:
-                    s[mv + V_VAL] = 1
-                else:
-                    s[mv + V_VAL] = 0
-                    s[mv + V_DONE] = 1
-        for r in range(rows):
-            base = r * self.row_size
-            if s[base + FL]:
-                if self.hardened and nsh:
-                    s[base + SC] = min(s[base + SC] + row_tx_eff[r],
-                                       self.mh_cap)
-                    if s[base + SC] > self.mh_target:
-                        suspected = True
-                continue
-            if nsh:
-                s[base + SC] = min(s[base + SC] + row_tx_eff[r],
-                                   self.mh_cap)
-            if r not in rel_masters and s[base + MA] == s[base + MR] + 1:
-                s[base + MC] = 1
-            if self.hardened and s[base + SC] > self.mh_target:
-                suspected = True
-                continue
-            if s[base + MC] == 1 and s[base + SC] == self.mh_target:
-                s[base + FL] = 1
-        if rows > 1:
-            for r in range(1, rows):
-                base = r * self.row_size
-                if s[base + SVS] and col_rel_level:
-                    s[base + RT] = 1
-        for r in range(rows):
-            sb = r * self.row_size + ROW_FIXED
-            for i in range(nsh):
-                off = sb + i * SLAVE
-                if not s[off + SL_SIG] and row_rel_level[r]:
-                    s[off + SL_SIG] = 1
-                    if s[off + SL_A] == s[off + SL_R] + 1:
-                        released.append((r, i))
-
-        # ---- degenerate single-row release --------------------------- #
-        fault = self.hardened and (spurious or suspected)
-        if not fault and rows == 1 and s[FL] and not s[RT]:
-            if self.hardened and not s[t + T_RV]:
-                s[t + T_RV] = 1
-            else:
-                s[RT] = 1
-
-        # ---- hardened release atomicity ------------------------------ #
-        # A legitimate release pulse covers every waiting core in one
-        # step; a shortfall means a release line dropped the pulse for
-        # part of the mesh (stuck low) while the masters -- who release
-        # their own cores at drive time -- ran ahead.  The released
-        # cores cannot be recalled, so the hardened network fails the
-        # episode over as one software cohort (mirrors the simulator's
-        # ``_complete_release`` partial-release guard).
-        if self.hardened and released \
-                and len(released) != self._waiting_count(s):
-            self._failover(s)
-            self._end_of_step(s, [])
-            return
-
-        # ---- probation shadow cross-check ---------------------------- #
-        # A release that does not cover the full cohort means the wires
-        # produced a count the software arrival shadow disagrees with:
-        # withhold it and fail the episode over (a flap).  The planted
-        # ``shadow`` mutation skips this, so the partial release reaches
-        # the accounting below and safety is lost.
-        if (self.recovery and s[t + T_RST] == R_PROBATION
-                and not self.shadow_mutated and released
-                and len(released) != self.num_cores):
-            self._failover(s)
-            self._end_of_step(s, [])
-            return
-
-        self._end_of_step(s, released)
-        if fault and self._any_waiting(s):
-            self._handle_fault(s)
-
-    # -- fault handling -------------------------------------------------- #
-    def _handle_fault(self, s: bytearray) -> None:
-        t = self.tail_off
-        if self.recovery and s[t + T_RST] == R_PROBATION:
+    # -- fault handling and recovery -------------------------------------- #
+    def _handle_fault(self, cores: List[Core], t: List[int]) -> None:
+        if self.recovery and t[T_RST] == R_PROBATION:
             # Zero tolerance during probation: any watchdog suspicion
             # re-degrades immediately, no retry burn-down (a flap).
-            self._failover(s)
+            self._failover(cores, t)
             return
-        if s[t + T_RET] < self.max_retries:
-            s[t + T_RET] += 1
-            self._reset_fsm(s)
-            if self._all_waiting(s):
-                s[t + T_WD] = self.budget  # fires `budget` steps later
+        if t[T_RET] < self.max_retries:
+            t[T_RET] += 1
+            self.fabric.reset_fsm()
+            if self._all_waiting(cores):
+                t[T_WD] = self.budget  # fires `budget` steps later
         else:
-            self._failover(s)
+            self._failover(cores, t)
 
-    def _reset_fsm(self, s: bytearray) -> None:
-        for r in range(self.rows):
-            base = r * self.row_size
-            s[base + SC] = s[base + MC] = 0
-            s[base + FL] = s[base + RT] = 0
-            s[base + SVS] = 0
-            sb = base + ROW_FIXED
-            for i in range(self.num_slaves_h):
-                s[sb + i * SLAVE + SL_SIG] = 1
-        m = self.mv_off
-        s[m + V_SC] = s[m + V_MC] = s[m + V_DONE] = s[m + V_VAL] = 0
-        s[self.tail_off + T_RV] = 0
-
-    def _failover(self, s: bytearray) -> None:
+    def _failover(self, cores: List[Core], t: List[int]) -> None:
         """Quarantine: waiting cores bounce to the software fallback and
         stay logically waiting until the software episode completes.
 
         With recovery, quarantine is DEGRADED (probe pending) instead of
         terminal; a probation failover is a *flap*, and the flap/probe
-        bounds retire the network permanently (back to PR 2 semantics)."""
-        t = self.tail_off
-        if self.recovery and s[t + T_RST] != R_RETIRED:
-            if s[t + T_RST] == R_PROBATION:
-                s[t + T_FLP] += 1
-                if s[t + T_FLP] > self.max_flaps:
+        bounds retire the network permanently."""
+        sc = self.scenario
+        if self.recovery and t[T_RST] != R_RETIRED:
+            if t[T_RST] == R_PROBATION:
+                t[T_FLP] += 1
+                if t[T_FLP] > sc.max_flaps:
                     raise PropertyViolation(
                         P_FLAP,
-                        f"{s[t + T_FLP]} re-admission flaps exceed the "
-                        f"max_flaps bound of {self.max_flaps}")
-                if s[t + T_FLP] >= self.max_flaps:
-                    s[t + T_RST] = R_RETIRED
-                    s[t + T_PRT] = 0
+                        f"{t[T_FLP]} re-admission flaps exceed the "
+                        f"max_flaps bound of {sc.max_flaps}")
+                if t[T_FLP] >= sc.max_flaps:
+                    t[T_RST] = R_RETIRED
+                    t[T_PRT] = 0
                 else:
-                    s[t + T_RST] = R_DEGRADED
-                    s[t + T_PRT] = self.probe_backoff
-                    s[t + T_PRF] = 0
+                    t[T_RST] = R_DEGRADED
+                    t[T_PRT] = sc.probe_backoff
+                    t[T_PRF] = 0
             else:
-                s[t + T_RST] = R_DEGRADED
-                s[t + T_PRT] = self.probe_backoff
-                s[t + T_PRF] = 0
-            s[t + T_PBL] = 0
-            s[t + T_DEG] = 1
-        s[t + T_Q] = 1
-        s[t + T_WD] = 0
-        s[t + T_RET] = 0
-        self._reset_fsm(s)
+                t[T_RST] = R_DEGRADED
+                t[T_PRT] = sc.probe_backoff
+                t[T_PRF] = 0
+            t[T_PBL] = 0
+            t[T_DEG] = 1
+        t[T_Q] = 1
+        t[T_WD] = 0
+        t[T_RET] = 0
+        self.fabric.reset_fsm()
+        self.fabric.drain()
 
-    # -- release accounting / property checks ---------------------------- #
-    def _end_of_step(self, s: bytearray,
-                     released: List[Tuple[int, int]]) -> None:
-        t = self.tail_off
-        regs = self._core_regs(s)
-        min_arrived = min(a for a, _ in regs)
-        for row, slave_i in released:
-            base = row * self.row_size
-            off_a = base + MA if slave_i < 0 \
-                else base + ROW_FIXED + slave_i * SLAVE + SL_A
-            off_r = off_a + (MR - MA if slave_i < 0 else SL_R - SL_A)
-            new_r = s[off_r] + 1
-            if new_r > s[off_a]:
+    def _probe(self, cores: List[Core], t: List[int]) -> None:
+        """The probe timer expired: run the idle-cycle wire test.
+
+        Passes exactly when the static fault is inactive (the real probe
+        drives every line and checks level/count both ways; any live
+        stuck-at or miscount trips it).  Re-admission waits for an
+        episode boundary."""
+        sc = self.scenario
+        if self.injector is not None:
+            self._sync_view(t)
+        if self.injector is None or not self.injector.fault_active():
+            if self._waiting_count(cores):
+                t[T_PRT] = sc.probe_backoff
+                return
+            t[T_RST] = R_PROBATION
+            t[T_PBL] = sc.probation_barriers
+            t[T_PRF] = 0
+            t[T_Q] = 0
+            self.fabric.reset_fsm()
+            return
+        t[T_PRF] += 1
+        if t[T_PRF] > sc.max_probes:
+            raise PropertyViolation(
+                P_RECOVERY,
+                f"{t[T_PRF]} failed probes exceed the max_probes bound "
+                f"of {sc.max_probes}")
+        if t[T_PRF] >= sc.max_probes:
+            t[T_RST] = R_RETIRED
+        else:
+            t[T_PRT] = sc.probe_backoff
+
+    # -- release accounting / property checks ----------------------------- #
+    def _end_of_step(self, cores: List[Core], t: List[int],
+                     released: List[int]) -> None:
+        min_arrived = min(a for a, _, _ in cores)
+        for local in released:
+            a, r, cd = cores[local]
+            if r + 1 > a:
                 raise PropertyViolation(
                     P_EXACTLY_ONCE,
-                    f"core at row {row}, slot {slave_i} delivered a "
-                    f"release for episode {new_r} it never arrived at")
-            if min_arrived < new_r:
+                    f"core {local} delivered a release for episode "
+                    f"{r + 1} it never arrived at")
+            if min_arrived < r + 1:
                 raise PropertyViolation(
                     P_SAFETY,
-                    f"core at row {row}, slot {slave_i} released from "
-                    f"episode {new_r} while other cores are still "
-                    f"missing (min arrivals {min_arrived})")
-            s[off_r] = new_r
+                    f"core {local} released from episode {r + 1} while "
+                    f"other cores are still missing (min arrivals "
+                    f"{min_arrived})")
+            cores[local] = (a, r + 1, cd)
 
         # Cooldowns: a released core's re-arrival is visible no earlier
         # than two steps later (write latency), matching barreg timing.
-        released_set = set(released)
-        for r in range(self.rows):
-            base = r * self.row_size
-            if (r, -1) in released_set:
-                s[base + MCD] = 1
-            elif s[base + MCD]:
-                s[base + MCD] = 0
-            sb = base + ROW_FIXED
-            for i in range(self.num_slaves_h):
-                off = sb + i * SLAVE
-                if (r, i) in released_set:
-                    s[off + SL_CD] = 1
-                elif s[off + SL_CD]:
-                    s[off + SL_CD] = 0
+        rel = set(released)
+        for i, (a, r, cd) in enumerate(cores):
+            now_cd = 1 if i in rel else 0
+            if cd != now_cd:
+                cores[i] = (a, r, now_cd)
 
         # Episode completion + the 4-cycle theorem.
-        regs = self._core_regs(s)
-        min_released = min(r for _, r in regs)
-        if min_released > s[t + T_EPS]:
-            if self.check_four_cycle and not s[t + T_Q]:
-                ticks = s[t + T_SA] + 1
+        min_released = min(r for _, r, _ in cores)
+        if min_released > t[T_EPS]:
+            if self.check_four_cycle and not t[T_Q]:
+                ticks = t[T_SA] + 1
                 self.max_completion_ticks = max(
                     self.max_completion_ticks, ticks)
                 if ticks > self.completion_bound:
@@ -834,20 +597,19 @@ class GLBarrierModel:
                         P_FOUR_CYCLE,
                         f"episode completed {ticks} ticks after the last "
                         f"arrival (bound {self.completion_bound})")
-            if self.recovery and not s[t + T_Q] \
-                    and s[t + T_RST] == R_PROBATION and s[t + T_PBL]:
-                s[t + T_PBL] -= 1
-                if s[t + T_PBL] == 0:
-                    s[t + T_RST] = R_HEALTHY
-            s[t + T_EPS] = min_released
-            s[t + T_SA] = 0
-            s[t + T_WD] = 0
-            s[t + T_RET] = 0
-            s[t + T_RV] = 0
-        elif not s[t + T_Q]:
-            k = s[t + T_EPS] + 1
-            if k <= self.episodes and all(a >= k for a, _ in regs):
-                ticks = min(s[t + T_SA] + 1, _SA_CAP)
+            if self.recovery and not t[T_Q] \
+                    and t[T_RST] == R_PROBATION and t[T_PBL]:
+                t[T_PBL] -= 1
+                if t[T_PBL] == 0:
+                    t[T_RST] = R_HEALTHY
+            t[T_EPS] = min_released
+            t[T_SA] = 0
+            t[T_WD] = 0
+            t[T_RET] = 0
+        elif not t[T_Q]:
+            k = t[T_EPS] + 1
+            if k <= self.episodes and all(a >= k for a, _, _ in cores):
+                ticks = min(t[T_SA] + 1, _SA_CAP)
                 if self.check_four_cycle \
                         and ticks > self.completion_bound:
                     raise PropertyViolation(
@@ -855,17 +617,16 @@ class GLBarrierModel:
                         f"all cores arrived {ticks} ticks ago and episode "
                         f"{k} has still not completed "
                         f"(bound {self.completion_bound})")
-                s[t + T_SA] = ticks
+                t[T_SA] = ticks
             else:
-                s[t + T_SA] = 0
+                t[T_SA] = 0
         else:
-            s[t + T_SA] = 0
+            t[T_SA] = 0
 
         # Bounded recovery: while degraded (and not retired) a probe is
         # always pending, so re-admission or retirement happens within
         # max_probes * probe_backoff ticks of any failover.
-        if self.recovery and s[t + T_RST] == R_DEGRADED \
-                and s[t + T_PRT] == 0:
+        if self.recovery and t[T_RST] == R_DEGRADED and t[T_PRT] == 0:
             raise PropertyViolation(
                 P_RECOVERY,
                 "network degraded with no probe pending: recovery would "

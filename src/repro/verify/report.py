@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .conformance import ConcretePath, ReplayResult, concretize
+from .conformance import ReplayResult
 from .explore import (ALL_PROPERTIES, Counterexample, ExploreResult,
                       PROVED, SKIPPED)
 from .model import GLBarrierModel
@@ -87,21 +87,20 @@ def expectation_verdict(scenario: FaultScenario,
 def render_counterexample(model: GLBarrierModel,
                           cex: Counterexample) -> str:
     """Humanize a counterexample as a per-cycle schedule of core ids."""
-    path = concretize(model, cex.action_indices)
+    schedules, glitches = cex.schedule(model)
     lines = [f"violated property: {cex.prop}",
              f"  {cex.message}",
              "concrete schedule (core id = row * cols + col):"]
-    for t, cores in enumerate(path.schedules):
+    for t, cores in enumerate(schedules):
         what = ("cores " + ", ".join(map(str, cores)) + " arrive"
                 if cores else "(no arrivals; network ticks)")
+        if t in glitches:
+            what += "; the armed wire glitch fires"
         lines.append(f"  cycle {t}: {what}")
-    if path.violating:
-        lines.append(f"concrete model confirms: {path.message}")
     return "\n".join(lines)
 
 
 def report_dict(model: GLBarrierModel, result: ExploreResult,
-                path: Optional[ConcretePath] = None,
                 replay: Optional[ReplayResult] = None
                 ) -> Dict[str, object]:
     """JSON artifact for one verification run (CI uploads, tooling)."""
@@ -121,8 +120,10 @@ def report_dict(model: GLBarrierModel, result: ExploreResult,
     ok, why = expectation_verdict(effective, result)
     out["expectation"] = {"expect": effective.expect,
                           "matched": ok, "why": why}
-    if path is not None:
-        out["concrete_path"] = path.to_dict()
+    if result.violation is not None:
+        schedules, glitches = result.violation.schedule(model)
+        out["concrete_path"] = {"schedules": schedules,
+                                "glitches": glitches}
     if replay is not None:
         out["replay"] = replay.to_dict()
     return out

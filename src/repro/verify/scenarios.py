@@ -4,9 +4,9 @@ A :class:`FaultScenario` is the verify-side counterpart of a
 :class:`~repro.faults.plan.FaultPlan`: instead of seeded random rates it
 names one *static* wire fault (stuck level or a per-cycle S-CSMA count
 skew on a specific G-line role) plus the hardening configuration the
-network runs under.  Static faults make the transition system finite and
-let the same scenario be applied bit-identically to the abstract model
-(:mod:`repro.verify.model`) and to a real
+network runs under.  Static faults keep the transition system finite,
+and one :class:`ScenarioInjector` applies the scenario both to the
+model's fabric (:mod:`repro.verify.model`) and to a real
 :class:`~repro.gline.network.GLineBarrierNetwork` during counterexample
 replay (:mod:`repro.verify.conformance`).
 
@@ -30,10 +30,9 @@ Recovery scenarios add three finite ingredients on top:
 A :class:`Mutation` is a deliberate protocol bug -- an off-by-one in a
 Master controller's gather threshold, or probation skipping its shadow
 cross-check -- used to prove the checker finds real violations.  Each
-mutation knows how to damage both the model (the model reads
-:attr:`Mutation.target` at build time) and a live network
-(:meth:`Mutation.apply_to_network`), so a model counterexample can be
-replayed against the identically-damaged simulator.
+mutation damages a barrier fabric (:meth:`Mutation.apply_to_fabric`,
+which the model and :meth:`Mutation.apply_to_network` both use), so a
+model counterexample replays against the identically-damaged simulator.
 """
 
 from __future__ import annotations
@@ -205,18 +204,20 @@ class FaultScenario:
 
 class ScenarioInjector:
     """A :class:`~repro.faults.injector.FaultInjector`-compatible shim that
-    applies one scenario's static fault to the real network every cycle.
+    applies one scenario's static fault to a barrier fabric every cycle --
+    a real network's during replay, the model's during exploration.
 
-    ``perturb_glines`` is the only hook the network calls; re-applying the
-    transient ``count_delta`` each clocked cycle mirrors the model, where
-    the skew is part of the transition relation rather than a seeded event.
+    ``perturb_glines`` is the only hook the fabric calls; the transient
+    ``count_delta`` is re-applied each clocked cycle, so the skew is part
+    of the transition relation rather than a seeded event.
 
     For recovery scenarios the shim also implements the deterministic
     *heal* semantics (clearing ``line.stuck`` while the fault is
     inactive, so an idle-cycle probe sees the healed wire) and fires the
-    one-shot glitch at the concretized engine cycles.  Heal modes consult
-    the network's recovery controller through :attr:`net`, which
-    :func:`~repro.verify.conformance.replay_on_simulator` wires up.
+    one-shot glitch at the counterexample's glitch cycles.  Heal modes
+    consult a recovery controller through :attr:`net`: the network's,
+    wired up by :func:`~repro.verify.conformance.replay_on_simulator`,
+    or the model's view of its own recovery registers.
     """
 
     def __init__(self, scenario: FaultScenario,
@@ -228,7 +229,8 @@ class ScenarioInjector:
         #: Recovery-state backref for the heal modes (set by the replay).
         self.net: Any = None
 
-    def _fault_active(self) -> bool:
+    def fault_active(self) -> bool:
+        """Is the static fault live now (see the heal modes)?"""
         heal = self.scenario.heal
         if heal == "never":
             return True
@@ -244,7 +246,7 @@ class ScenarioInjector:
 
     def perturb_glines(self, lines: List[Any],
                        now: Optional[int] = None) -> None:
-        active = self._fault_active()
+        active = self.fault_active()
         if self._suffix is not None:
             for line in lines:
                 if line.name.endswith("." + self._suffix):
@@ -291,18 +293,24 @@ class Mutation:
             return "mv threshold mutation needs rows >= 2"
         return None
 
-    def apply_to_network(self, net: Any) -> None:
-        """Damage a live ``GLineBarrierNetwork`` identically to the model."""
+    def apply_to_fabric(self, fabric: Any) -> None:
+        """Damage a :class:`~repro.gline.fabric.BarrierFabric`'s gather
+        thresholds (a no-op for the recovery-level ``shadow`` target)."""
         if self.target == "mh":
-            for mh in net.masters_h:
+            for mh in fabric.masters_h:
                 mh.num_slaves -= 1
         elif self.target == "mv":
-            net.master_v.num_slaves -= 1
-        else:
+            fabric.master_v.num_slaves -= 1
+
+    def apply_to_network(self, net: Any) -> None:
+        """Damage a live ``GLineBarrierNetwork`` identically to the model."""
+        if self.target == "shadow":
             if net.recovery is None:
                 raise ValueError("the shadow mutation needs a network "
                                  "with recovery enabled")
             net.recovery.shadow_disabled = True
+        else:
+            self.apply_to_fabric(net.fabric)
 
 
 #: Registry of named scenarios.  The hardened fault scenarios must stay

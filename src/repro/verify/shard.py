@@ -20,11 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..exec.version import code_fingerprint
 from .explore import Counterexample, ExploreResult, explore
-from .model import GLBarrierModel, PropertyViolation
+from .model import GLBarrierModel, PropertyViolation, State
 from .scenarios import FAULT_FREE
 
 
@@ -137,12 +137,15 @@ class VerifyShardSpec:
 def shard_prefixes(model: GLBarrierModel, depth: int
                    ) -> Tuple[List[Tuple[int, ...]],
                               Optional[Counterexample]]:
-    """Distinct depth-*depth* action prefixes (deduplicated by reached
-    canonical state), or a counterexample if one surfaces that shallow."""
-    frontier: Dict[bytes, Tuple[int, ...]] = {model.initial(): ()}
+    """Distinct depth-*depth* action prefixes (deduplicated by the reached
+    state's canonical key), or a counterexample if one surfaces that
+    shallow."""
+    init = model.initial()
+    frontier: Dict[Any, Tuple[State, Tuple[int, ...]]] = {
+        model.key(init): (init, ())}
     for _ in range(depth):
-        nxt: Dict[bytes, Tuple[int, ...]] = {}
-        for state, prefix in frontier.items():
+        nxt: Dict[Any, Tuple[State, Tuple[int, ...]]] = {}
+        for skey, (state, prefix) in frontier.items():
             for ai, act in enumerate(model.actions(state)):
                 try:
                     child = model.step(state, act)
@@ -150,15 +153,16 @@ def shard_prefixes(model: GLBarrierModel, depth: int
                     return [], Counterexample(
                         prop=exc.prop, message=exc.message,
                         action_indices=list(prefix) + [ai])
-                if child == state:
+                ckey = model.key(child)
+                if ckey == skey:
                     # Keep stutter roots: the subtree below them is the
                     # same, and dropping a root would lose coverage when
                     # the state has no other representative.
-                    nxt.setdefault(state, prefix)
+                    nxt.setdefault(skey, (state, prefix))
                     continue
-                nxt.setdefault(child, prefix + (ai,))
+                nxt.setdefault(ckey, (child, prefix + (ai,)))
         frontier = nxt
-    return sorted(frontier.values()), None
+    return sorted(prefix for _, prefix in frontier.values()), None
 
 
 def merge_shards(results: Sequence[VerifyShardResult],

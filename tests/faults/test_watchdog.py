@@ -97,7 +97,7 @@ def test_stuck_at_zero_gather_line_fails_over():
     """A gather line stuck low stalls the count; the watchdog retries the
     configured number of times, then quarantines the network."""
     engine, stats, net = build(2, 2)
-    net.row_tx[1].stuck = 0
+    net.fabric.row_tx[1].stuck = 0
     outcomes = arrive_all(engine, net)
     assert all(outcomes[c] == (FAILOVER,) for c in range(4))
     assert net.quarantined
@@ -111,7 +111,7 @@ def test_stuck_at_one_gather_line_is_overshoot_detected():
     """Stuck high overcounts the S-CSMA read-out; hardened masters treat
     count > num_slaves as a fault instead of releasing early."""
     engine, _, net = build(2, 2)
-    net.row_tx[0].stuck = 1
+    net.fabric.row_tx[0].stuck = 1
     outcomes = arrive_all(engine, net)
     assert all(outcomes[c] == (FAILOVER,) for c in range(4))
     assert net.failovers == 1
@@ -121,7 +121,7 @@ def test_stuck_at_one_release_line_is_guarded():
     """A release line going high without its master driving it would
     release cores early; the guard masks it and flags the episode."""
     engine, stats, net = build(2, 2)
-    net.row_rel[1].stuck = 1
+    net.fabric.row_rel[1].stuck = 1
     outcomes = arrive_all(engine, net)
     assert all(outcomes[c] == (FAILOVER,) for c in range(4))
     assert stats.counters["faults.gline.spurious_releases"] >= 1
@@ -134,10 +134,11 @@ def test_transient_fault_healed_by_retry():
     the slave's one-shot arrival signal was swallowed by the dead wire,
     and only the retry's FSM reset makes it re-signal."""
     engine, _, net = build(2, 2)
-    net.row_tx[1].stuck = 0
+    net.fabric.row_tx[1].stuck = 0
     # All arrived at t=1, watchdog fires at t=33; the "wire" heals before
     # that, so the first retry's re-gather goes through.
-    engine.schedule_at(10, lambda: setattr(net.row_tx[1], "stuck", None))
+    engine.schedule_at(10, lambda: setattr(net.fabric.row_tx[1], "stuck",
+                                           None))
     outcomes = arrive_all(engine, net)
     assert all(outcomes[c] == () for c in range(4))
     assert net.detections == 1
@@ -161,7 +162,7 @@ def test_completed_episode_leaves_stale_timer_silent():
 
 def test_quarantined_network_bounces_new_arrivals():
     engine, _, net = build(2, 2)
-    net.row_tx[1].stuck = 0
+    net.fabric.row_tx[1].stuck = 0
     arrive_all(engine, net)
     assert net.quarantined
     late = {}

@@ -98,7 +98,7 @@ def failover_net(obs):
                                           watchdog_retries=2))
     if obs is not None:
         net.set_obs(obs)
-    net.row_tx[1].stuck = 0                  # gather line dead -> failover
+    net.fabric.row_tx[1].stuck = 0           # gather line dead -> failover
     outcomes = {}
     for cid in range(4):
         engine.schedule_at(0, lambda c=cid: net.arrive(

@@ -1,10 +1,10 @@
-"""Model <-> simulator conformance: concretize, replay, export, lift.
+"""Model <-> simulator conformance: replay, export, lift.
 
-The two directions of the bridge are exercised end to end: a canonical
-counterexample concretizes to per-cycle schedules that reproduce the
-violation on the *real* :class:`GLineBarrierNetwork` (abstract ->
-concrete), and a recorded simulator trace replays through the model
-with identical release cycles (concrete -> abstract, refinement).
+The two directions of the bridge are exercised end to end: a
+counterexample's per-cycle schedule reproduces the violation on the
+*real* :class:`GLineBarrierNetwork` (model -> simulator), and a recorded
+simulator trace replays through the model with identical release cycles
+(simulator -> model, refinement).
 """
 
 import importlib.util
@@ -18,9 +18,9 @@ from repro.common.stats import StatsRegistry
 from repro.gline.network import GLineBarrierNetwork
 from repro.obs import Observability, RingTracer
 from repro.sim.engine import Engine
-from repro.verify import (GLBarrierModel, concretize, explore,
-                          export_counterexample, get_scenario,
-                          lift_perfetto, lift_trace, replay_on_simulator)
+from repro.verify import (GLBarrierModel, explore, export_counterexample,
+                          get_scenario, lift_perfetto, lift_trace,
+                          replay_actions, replay_on_simulator)
 
 _spec = importlib.util.spec_from_file_location(
     "validate_trace",
@@ -40,20 +40,21 @@ def _violating_model(mutation="mh-early-flag", rows=2, cols=2):
 @pytest.mark.parametrize("mutation", ["mh-early-flag", "mv-early-done"])
 def test_mutation_counterexample_confirms_on_simulator(mutation):
     model, cex = _violating_model(mutation)
-    conc = concretize(model, cex.action_indices)
-    assert conc.violating
-    assert any(conc.schedules), "counterexample with no arrivals"
-    replay = replay_on_simulator(2, 2, conc.schedules, mutation=mutation)
+    _, _, violation = replay_actions(model, cex.action_indices)
+    assert violation is not None
+    schedules, _ = cex.schedule(model)
+    assert any(schedules), "counterexample with no arrivals"
+    replay = replay_on_simulator(2, 2, schedules, mutation=mutation)
     assert replay.confirmed, replay.summary()
     core, cycle = replay.early_releases[0]
     # The violation the model predicts is the one hardware exhibits: the
     # released core resumed while some core had strictly fewer arrivals.
-    assert 0 <= core < 4 and cycle <= len(conc.schedules) + 8
+    assert 0 <= core < 4 and cycle <= len(schedules) + 8
 
 
 def test_safe_schedule_does_not_confirm():
-    """Concretizing a non-violating path replays without early release
-    -- the detector itself does not cry wolf."""
+    """A non-violating schedule replays without early release -- the
+    detector itself does not cry wolf."""
     replay = replay_on_simulator(2, 2, [[0, 1, 2, 3]])
     assert not replay.confirmed
     assert len(replay.releases) == 4
@@ -62,8 +63,8 @@ def test_safe_schedule_does_not_confirm():
 
 def test_export_roundtrip_validates(tmp_path):
     model, cex = _violating_model("mh-early-flag")
-    conc = concretize(model, cex.action_indices)
-    replay = replay_on_simulator(2, 2, conc.schedules,
+    schedules, _ = cex.schedule(model)
+    replay = replay_on_simulator(2, 2, schedules,
                                  mutation="mh-early-flag")
     paths = export_counterexample(
         replay, tmp_path / "cex",
@@ -99,20 +100,21 @@ def _record_real_trace(rows, cols, schedules):
     return list(tracer)
 
 
-def test_real_trace_refines_model():
-    """A 2x3 network run over 3 episodes lifts into the model with
-    matching release cycles -- even at a nonzero write latency, because
-    arrival timestamps are visibility cycles."""
-    rows, cols, n = 2, 3, 6
-    schedules = [[] for _ in range(40)]
-    for ep, base in enumerate([0, 14, 28]):
+@pytest.mark.parametrize("rows,cols,episodes", [(2, 3, 3), (2, 2, 20)])
+def test_real_trace_refines_model(rows, cols, episodes):
+    """A network run lifts into the model with matching release cycles
+    -- even at a nonzero write latency, because arrival timestamps are
+    visibility cycles, and for any number of episodes."""
+    n = rows * cols
+    schedules = [[] for _ in range(14 * episodes)]
+    for ep in range(episodes):
         for cid in range(n):
-            schedules[base + (cid * (ep + 1)) % 5].append(cid)
+            schedules[14 * ep + (cid * (ep + 1)) % 5].append(cid)
     events = _record_real_trace(rows, cols, schedules)
     lifted = lift_trace(events, rows, cols)
     assert lifted.ok, lifted.mismatches
-    assert lifted.episodes == 3
-    assert sum(lifted.trace_releases.values()) == 3 * n
+    assert lifted.episodes == episodes
+    assert sum(lifted.trace_releases.values()) == episodes * n
     assert lifted.model_releases == lifted.trace_releases
     assert "refines" in lifted.summary()
 

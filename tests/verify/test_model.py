@@ -1,6 +1,8 @@
 """Model-vs-simulator equivalence and model-construction tests.
 
-The transition system must be a cycle-accurate abstraction of
+The model runs the network's own fabric, but its environment and timer
+fold are hand-written, so the transition system must stay a
+cycle-accurate abstraction of
 :class:`~repro.gline.network.GLineBarrierNetwork`: with
 ``barreg_write_cycles = 0`` the model's step *t* is the engine's cycle
 *t*, so for *any* arrival schedule the model must release exactly the
@@ -16,45 +18,36 @@ from repro.common.stats import StatsRegistry
 from repro.gline.network import GLineBarrierNetwork
 from repro.sim.engine import Engine
 from repro.verify import GLBarrierModel, PropertyViolation, get_scenario
-from repro.verify.model import MR, ROW_FIXED, SL_R, SLAVE
 
 mesh_shapes = st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(
     lambda rc: rc[0] * rc[1] >= 2)
 
 
 def model_release_cycles(model, schedules):
-    """Run the concrete model; map core id -> list of release steps."""
+    """Run the model; map core id -> list of release steps."""
     state = model.initial()
     out = {c: [] for c in range(model.rows * model.cols)}
-
-    def releases_of(s):
-        regs = {}
-        for r in range(model.rows):
-            base = r * model.row_size
-            regs[r * model.cols] = s[base + MR]
-            for i in range(model.num_slaves_h):
-                off = base + ROW_FIXED + i * SLAVE
-                regs[r * model.cols + i + 1] = s[off + SL_R]
-        return regs
-
     horizon = len(schedules) + 64
     for t in range(horizon):
-        before = releases_of(state)
+        before = state[1]
         cores = schedules[t] if t < len(schedules) else []
-        state = model.step_cores(state, cores)
-        after = releases_of(state)
-        for c, n in after.items():
-            if n > before[c]:
+        state = model.deliver(state, cores)
+        for c, ((_, rb, _), (_, ra, _)) in enumerate(zip(before,
+                                                         state[1])):
+            if ra > rb:
                 out[c].append(t)
         if model.is_complete(state) and t >= len(schedules):
             break
     return out
 
 
-def network_release_cycles(rows, cols, schedules, episodes):
+def network_release_cycles(rows, cols, schedules, episodes, scenario):
     engine = Engine()
+    config = GLineConfig(barreg_write_cycles=0,
+                         watchdog_budget=scenario.watchdog_budget,
+                         watchdog_retries=scenario.watchdog_retries)
     net = GLineBarrierNetwork(engine, StatsRegistry(rows * cols), rows,
-                              cols, GLineConfig(barreg_write_cycles=0))
+                              cols, config)
     out = {c: [] for c in range(rows * cols)}
     for t, cores in enumerate(schedules):
         for cid in cores:
@@ -72,6 +65,8 @@ def test_model_matches_network_on_random_schedules(shape, data):
     when the network resumes the core at cycle t + 1."""
     rows, cols = shape
     n = rows * cols
+    scenario = get_scenario(data.draw(st.sampled_from(
+        ["fault-free", "fault-free-hardened"])))
     episodes = data.draw(st.integers(1, 3))
     times = [data.draw(st.lists(st.integers(0, 25), min_size=n,
                                 max_size=n))
@@ -91,9 +86,10 @@ def test_model_matches_network_on_random_schedules(shape, data):
         offset = last + 10   # > completion bound + cooldown
 
     model = GLBarrierModel(rows, cols, episodes=episodes,
-                           symmetric=False)
+                           scenario=scenario)
     got_model = model_release_cycles(model, schedules)
-    got_net = network_release_cycles(rows, cols, schedules, episodes)
+    got_net = network_release_cycles(rows, cols, schedules, episodes,
+                                     scenario)
 
     for c in range(n):
         assert len(got_model[c]) == len(got_net[c]) == episodes
@@ -107,12 +103,12 @@ def test_model_matches_network_on_random_schedules(shape, data):
 def test_completion_latency_pinned(shape, expected):
     """All-at-once arrival completes in exactly the paper's latency."""
     rows, cols = shape
-    model = GLBarrierModel(rows, cols, symmetric=False)
+    model = GLBarrierModel(rows, cols)
     state = model.initial()
-    state = model.step_cores(state, range(rows * cols))
+    state = model.deliver(state, range(rows * cols))
     ticks = 1
     while not model.is_complete(state):
-        state = model.step_cores(state, [])
+        state = model.deliver(state, [])
         ticks += 1
         assert ticks < 32, "model failed to complete"
     assert ticks == expected
@@ -121,12 +117,11 @@ def test_completion_latency_pinned(shape, expected):
 
 def test_hardened_adds_one_validation_cycle():
     model = GLBarrierModel(
-        2, 2, scenario=get_scenario("fault-free-hardened"),
-        symmetric=False)
-    state = model.step_cores(model.initial(), range(4))
+        2, 2, scenario=get_scenario("fault-free-hardened"))
+    state = model.deliver(model.initial(), range(4))
     ticks = 1
     while not model.is_complete(state):
-        state = model.step_cores(state, [])
+        state = model.deliver(state, [])
         ticks += 1
     assert ticks == 5 == model.completion_bound
 
@@ -156,19 +151,18 @@ def test_actions_structure():
 
 
 def test_step_cores_rejects_double_arrival():
-    model = GLBarrierModel(2, 2, symmetric=False)
-    state = model.step_cores(model.initial(), [0])
+    model = GLBarrierModel(2, 2)
+    state = model.deliver(model.initial(), [0])
     with pytest.raises(ValueError):
-        model.step_cores(state, [0])    # already waiting
+        model.deliver(state, [0])       # already waiting
 
 
 def test_violation_is_exception_with_property():
-    model = GLBarrierModel(2, 2, mutation="mh-early-flag",
-                           symmetric=False)
+    model = GLBarrierModel(2, 2, mutation="mh-early-flag")
     # Both masters arrive; the mutated rows flag with zero slave signals
     # and the column stage releases cores 1 and 3 never arrived at.
-    state = model.step_cores(model.initial(), [0, 2])
+    state = model.deliver(model.initial(), [0, 2])
     with pytest.raises(PropertyViolation) as exc_info:
         for _ in range(8):
-            state = model.step_cores(state, [])
+            state = model.deliver(state, [])
     assert exc_info.value.prop == "safety"

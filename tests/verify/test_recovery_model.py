@@ -4,15 +4,15 @@ The model checker proves the self-healing extension safe -- including
 the two recovery-only properties ``bounded-recovery`` (a degraded
 network always has a probe pending) and ``flap-bound`` (re-admission
 flaps never exceed the budget) -- and the planted ``probation-skip-
-shadow`` mutation is caught, concretized, and confirmed on the real
+shadow`` mutation is caught, and its schedule confirmed on the real
 simulator, closing the model <-> hardware loop for the recovery path.
 """
 
 import pytest
 
 from repro.verify import (GLBarrierModel, P_FLAP, P_RECOVERY, PROVED,
-                          SKIPPED, concretize, expectation_verdict,
-                          explore, get_scenario, replay_on_simulator)
+                          SKIPPED, expectation_verdict, explore,
+                          get_scenario, replay_actions, replay_on_simulator)
 
 RECOVERY_SCENARIOS = ["intermittent-row-tx-recovers",
                       "flaky-row-tx-retires", "probation-glitch"]
@@ -47,7 +47,7 @@ def test_recovery_scenarios_scale_to_2x4():
 
 def test_shadow_mutation_caught_and_confirmed_on_simulator():
     """The full loop: explore finds the safety violation the skipped
-    shadow check allows, concretize lifts it to per-cycle schedules plus
+    shadow check allows, its path reads off as per-cycle schedules plus
     glitch cycles, and the real network -- with the same mutation --
     reproduces the early release.  The un-mutated network under the
     *same* schedule withholds the release: the shadow check is exactly
@@ -59,17 +59,19 @@ def test_shadow_mutation_caught_and_confirmed_on_simulator():
     assert result.violation is not None
     assert result.violation.prop == "safety"
 
-    conc = concretize(model, result.violation.action_indices)
-    assert conc.violating
-    assert conc.glitches, "counterexample must use the planted glitch"
+    _, _, violation = replay_actions(model,
+                                     result.violation.action_indices)
+    assert violation is not None
+    schedules, glitches = result.violation.schedule(model)
+    assert glitches, "counterexample must use the planted glitch"
 
-    mutated = replay_on_simulator(2, 2, conc.schedules,
+    mutated = replay_on_simulator(2, 2, schedules,
                                   scenario=scenario,
                                   mutation="probation-skip-shadow",
-                                  glitches=conc.glitches)
+                                  glitches=glitches)
     assert mutated.confirmed, mutated.summary()
 
-    guarded = replay_on_simulator(2, 2, conc.schedules,
+    guarded = replay_on_simulator(2, 2, schedules,
                                   scenario=scenario,
-                                  glitches=conc.glitches)
+                                  glitches=glitches)
     assert not guarded.confirmed, guarded.summary()

@@ -61,7 +61,7 @@ def test_unhardened_miscount_is_caught():
 def test_mutations_are_caught(name):
     # The shadow mutation only means anything during recovery probation;
     # it rides on the glitch scenario (see test_recovery_model.py for
-    # the full concretize/replay round trip).
+    # the full schedule/replay round trip).
     scenario = (get_scenario("probation-glitch")
                 if name == "probation-skip-shadow"
                 else get_scenario("fault-free"))
